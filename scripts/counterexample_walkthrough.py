@@ -41,8 +41,8 @@ def main() -> None:
           ", ".join(f"{m.name}: {m.dom} -> {m.cod}" for m in cat.non_identities()))
     z = zeta_matrix(cat)
     print("zeta (hom counts):")
-    for row in z.entries:
-        print("   ", " ".join(format_rational(v) for v in row))
+    for row in z:
+        print("   ", " ".join(str(row.get(j, 0)) for j in range(len(z))))
     res = euler_characteristic(cat)
     print("weighting:  ", " ".join(
         f"{o}={format_rational(w)}" for o, w in zip(cat.objects, res.weighting)))

@@ -5,8 +5,9 @@ For each trial: draw a random poset (or a free category on a random DAG,
 which has parallel morphisms), cover it by ideal closures and by filter
 closures of random partition blocks, then check
 
-  * inclusion-exclusion sum == chi(parent) == chi(gr_reduced)
-  * Betti numbers of the parent == Betti numbers of gr_reduced
+  * inclusion-exclusion sum == chi(parent) == chi(gr), where gr is the
+    total category of the reduced nerve (ReducedGrothendieck)
+  * Betti numbers of the parent == Betti numbers of gr
 
 and report a summary table.  Everything is exact; a single mismatch is a
 bug (or a theorem failing, which would be news).

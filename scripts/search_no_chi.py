@@ -23,7 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
-from catnerve.euler import QMatrix, euler_characteristic, solve_right
+from catnerve.euler import euler_characteristic, solve_right
 from catnerve.fincat import FinCategory, validate_category
 from catnerve.io import emit_category
 
@@ -31,12 +31,14 @@ ONES = Fraction(1)
 
 
 def inconsistent_sides(S: list[list[int]]) -> list[str]:
-    z = QMatrix.from_rows(S)
-    ones = tuple(ONES for _ in S)
+    m = len(S)
+    rows = [{j: v for j, v in enumerate(row) if v} for row in S]
+    cols = [{i: row[j] for i, row in enumerate(S) if row[j]} for j in range(m)]
+    ones = [ONES] * m
     sides = []
-    if solve_right(z, ones) is None:
+    if solve_right(rows, m, ones) is None:
         sides.append("weighting")
-    if solve_right(z.transpose(), ones) is None:
+    if solve_right(cols, m, ones) is None:
         sides.append("coweighting")
     return sides
 

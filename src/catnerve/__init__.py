@@ -29,7 +29,6 @@ from .covers import (
     ideal_closure,
     intersect,
     is_cover,
-    is_locally_finite,
     membership_counts,
     opposite_subcategory,
     to_two_point_poset,
@@ -56,16 +55,12 @@ from .grothendieck import (
     ReducedGrothendieck,
     adjunction_check_R,
     adjunction_check_pi,
-    gr_reduced,
     ordered_gr_hom,
-    pi_left_adjoint,
     reduce_object,
     reorder_iso,
-    rho_tilde,
 )
 from .euler import (
     EulerResult,
-    QMatrix,
     euler_characteristic,
     format_rational,
     inclusion_exclusion_sum,

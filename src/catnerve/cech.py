@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .covers import Cover, Subcategory, intersect
 from .fincat import FinCategory, FunctorMap, ValidationReport, Violation, identity_functor
@@ -74,6 +74,15 @@ def level_piece(cover: Cover, t: IndexTuple) -> NerveLevelPiece:
     return NerveLevelPiece(t, intersect(parts))
 
 
+def _enumerate_tuples(cover: Cover, length: int, variant: str):
+    labels = cover.index_order
+    if variant == "ordinary":
+        return product(labels, repeat=length)
+    if variant == "ordered":
+        return combinations_with_replacement(labels, length)
+    return combinations(labels, length)  # empty once length > len(labels)
+
+
 def level(
     cover: Cover,
     n: int,
@@ -86,16 +95,10 @@ def level(
         raise ValueError("level must be >= 0")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
-    labels = cover.index_order
-    if variant == "ordinary":
-        if n > ordinary_cap:
-            raise ValueError(f"ordinary level {n} exceeds the enumeration cap {ordinary_cap}")
-        tuples: Iterable[tuple[str, ...]] = product(labels, repeat=n + 1)
-    elif variant == "ordered":
-        tuples = combinations_with_replacement(labels, n + 1)
-    else:
-        tuples = combinations(labels, n + 1)  # empty once n >= len(labels)
-    return [level_piece(cover, IndexTuple(t, variant)) for t in tuples]
+    if variant == "ordinary" and n > ordinary_cap:
+        raise ValueError(f"ordinary level {n} exceeds the enumeration cap {ordinary_cap}")
+    return [level_piece(cover, IndexTuple(t, variant))
+            for t in _enumerate_tuples(cover, n + 1, variant)]
 
 
 # -- maps of finite ordinals ----------------------------------------------
@@ -155,15 +158,6 @@ def face_functor(cover: Cover, t: IndexTuple, i: int) -> FunctorMap:
 
 def degeneracy_functor(cover: Cover, t: IndexTuple, j: int) -> FunctorMap:
     return induced_functor(cover, delta_degeneracy(j, len(t.labels) - 1), t)
-
-
-def _enumerate_tuples(cover: Cover, length: int, variant: str):
-    labels = cover.index_order
-    if variant == "ordinary":
-        return product(labels, repeat=length)
-    if variant == "ordered":
-        return combinations_with_replacement(labels, length)
-    return combinations(labels, length)
 
 
 def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordinary") -> ValidationReport:

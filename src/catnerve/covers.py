@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fincat import FinCategory, FunctorMap, Mor
@@ -268,45 +267,34 @@ def membership_counts(cover: Cover) -> dict[str, int]:
     }
 
 
-def is_locally_finite(cover: Cover) -> bool:
-    """Every object belongs to finitely many parts (finite index sets)."""
-    return all(math.isfinite(n) for n in membership_counts(cover).values())
+def _closure(cat: FinCategory, objects: Iterable[str], down: bool) -> Subcategory:
+    """Smallest full subcategory containing ``objects`` and every object
+    with an arrow into it (``down``) or out of it (otherwise)."""
+    s = set(objects)
+    for x in s:
+        if not cat.has_object(x):
+            raise ValueError(f"unknown object id: {x!r}")
+    hom = cat.hom_set if down else (lambda y, x: cat.hom_set(x, y))
+    changed = True
+    while changed:
+        changed = False
+        for y in cat.objects:
+            if y in s:
+                continue
+            if any(hom(y, x) for x in s):
+                s.add(y)
+                changed = True
+    return full_subcategory(cat, s)
 
 
 def ideal_closure(cat: FinCategory, objects: Iterable[str]) -> Subcategory:
     """Smallest ideal containing the given objects (full by construction)."""
-    s = set(objects)
-    for x in s:
-        if not cat.has_object(x):
-            raise ValueError(f"unknown object id: {x!r}")
-    changed = True
-    while changed:
-        changed = False
-        for y in cat.objects:
-            if y in s:
-                continue
-            if any(cat.hom_set(y, x) for x in s):
-                s.add(y)
-                changed = True
-    return full_subcategory(cat, s)
+    return _closure(cat, objects, down=True)
 
 
 def filter_closure(cat: FinCategory, objects: Iterable[str]) -> Subcategory:
     """Smallest filter containing the given objects (dual of ideal_closure)."""
-    s = set(objects)
-    for x in s:
-        if not cat.has_object(x):
-            raise ValueError(f"unknown object id: {x!r}")
-    changed = True
-    while changed:
-        changed = False
-        for y in cat.objects:
-            if y in s:
-                continue
-            if any(cat.hom_set(x, y) for x in s):
-                s.add(y)
-                changed = True
-    return full_subcategory(cat, s)
+    return _closure(cat, objects, down=False)
 
 
 def opposite_subcategory(sub: Subcategory) -> Subcategory:

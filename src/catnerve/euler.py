@@ -1,17 +1,22 @@
 """Exact Euler characteristics of finite categories.
 
-The similarity matrix counts hom-sets over the rationals; a weighting
-(resp. coweighting) solves the all-ones column (row) system exactly.
+The similarity matrix counts hom-sets; a weighting (resp. coweighting)
+solves the all-ones column (row) system exactly over the rationals.
 The Euler characteristic exists iff both do, and equals the entry sum
-of either.  All arithmetic is ``fractions.Fraction``; nothing here is
-floating point.
+of either.
+
+Matrices are sparse: a list of ``dict[int, int]`` rows mapping a column
+index to a nonzero integer entry.  One elimination serves ``rank`` and
+``solve_right``; ``fractions.Fraction`` appears only inside it and in
+the solutions.  Nothing here is floating point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, intersect, union_closure
 from .fincat import FinCategory, ValidationReport, Violation
@@ -20,117 +25,84 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """A dense rational matrix, rows of Fractions."""
+def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """Echelon basis of the row space of sparse rows, keyed by leading column.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "QMatrix":
-        ent = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        ncols = len(ent[0]) if ent else 0
-        if any(len(r) != ncols for r in ent):
-            raise ValueError("ragged rows")
-        return cls(len(ent), ncols, ent)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                             for j in range(self.cols)))
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = [ZERO] * other.cols
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if a:
-                    orow = other.entries[k]
-                    for j in range(other.cols):
-                        if orow[j]:
-                            row[j] += a * orow[j]
-            out.append(tuple(row))
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
-
-
-def _reduce(rows: list[list[Fraction]], width: int) -> list[int]:
-    """In-place Gauss-Jordan over the first ``width`` columns.
-
-    Columns beyond ``width`` (augmented right-hand sides) are carried
-    along.  Returns the pivot columns.  Zero entries are skipped, so
-    triangular similarity matrices reduce in near-linear time.
+    A row's leading column is its smallest column index.  Each incoming
+    row is reduced by the basis rows whose leading columns it hits until
+    it vanishes or leads at a fresh column, where it joins the basis
+    scaled to a leading 1.  The leading columns are then the pivot
+    columns of the reduced row echelon form.  Entries that cancel are
+    dropped, so ±1 rows stay sparse and integral; Fractions arise only
+    from leading entries other than ±1.
     """
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        lead = prow[col]
-        if lead != 1:
-            for j in range(col, len(prow)):
-                if prow[j]:
-                    prow[j] /= lead
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                c = row[col]
-                for j in range(col, len(row)):
-                    if prow[j]:
-                        row[j] -= c * prow[j]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+    basis: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {j: v for j, v in given.items() if v}
+        while row:
+            lead = min(row)
+            prow = basis.get(lead)
+            if prow is None:
+                a = row[lead]
+                if a != 1:
+                    inv = a if a == -1 else 1 / Fraction(a)
+                    row = {j: v * inv for j, v in row.items()}
+                basis[lead] = row
+                break
+            c = row[lead]
+            for j, v in prow.items():
+                w = row.get(j, 0) - c * v
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return basis
 
 
-def rank(m: QMatrix) -> int:
-    rows = [list(r) for r in m.entries]
-    return len(_reduce(rows, m.cols))
+def rank(m: Sequence[Mapping[int, int]]) -> int:
+    """Rank over Q of a sparse matrix given as rows (or, equally, as columns)."""
+    return len(_eliminate(m))
 
 
 def solve_right(
-    m: QMatrix, rhs: Sequence[Fraction], free_value: Fraction = ZERO
+    m: Sequence[Mapping[int, int]], ncols: int, rhs: Sequence[Fraction],
+    free_value: Fraction = ZERO,
 ) -> Optional[tuple[Fraction, ...]]:
     """Exact solution of m x = rhs, or None iff the system is inconsistent.
 
+    ``m`` is given as sparse rows over columns ``0 .. ncols - 1``.
     Underdetermined systems get the canonical solution with every free
-    variable set to ``free_value`` (0 by default).
+    (non-pivot) variable set to ``free_value`` (0 by default).
     """
-    if len(rhs) != m.rows:
+    if len(rhs) != len(m):
         raise ValueError("rhs length mismatch")
-    rows = [list(r) + [Fraction(b)] for r, b in zip(m.entries, rhs)]
-    pivots = _reduce(rows, m.cols)
-    for i in range(len(pivots), m.rows):
-        if rows[i][-1]:
-            return None
-    x = [Fraction(free_value)] * m.cols
-    pivot_set = set(pivots)
-    for r_idx, col in enumerate(pivots):
-        val = rows[r_idx][-1]
-        if free_value:
-            for j in range(m.cols):
-                if j != col and j not in pivot_set and rows[r_idx][j]:
-                    val -= rows[r_idx][j] * free_value
-        x[col] = val
+    if any(not 0 <= j < ncols for row in m for j in row):
+        raise ValueError("column index out of range")
+    # the right-hand side rides along as column ncols; it leads a basis
+    # row exactly when it is not in the column space of m
+    basis = _eliminate({**row, ncols: b} for row, b in zip(m, rhs))
+    if ncols in basis:
+        return None
+    x = [Fraction(free_value)] * ncols
+    for lead in sorted(basis, reverse=True):
+        row = basis[lead]
+        x[lead] = Fraction(row.get(ncols, 0)) - sum(
+            (v * x[j] for j, v in row.items() if lead < j < ncols), ZERO)
     return tuple(x)
 
 
-def zeta_matrix(cat: FinCategory) -> QMatrix:
-    """Hom-set cardinalities in object declaration order."""
-    return QMatrix.from_rows(
-        [[len(cat.hom_set(x, y)) for y in cat.objects] for x in cat.objects]
-    )
+def zeta_matrix(cat: FinCategory) -> list[dict[int, int]]:
+    """Hom-set cardinalities as sparse rows, objects in declaration order."""
+    index = {x: j for j, x in enumerate(cat.objects)}
+    return [dict(Counter(index[m.cod] for m in cat.morphisms_from(x))) for x in cat.objects]
+
+
+def _transpose(m: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
+    out: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(m):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
 
 
 def solve_weighting(
@@ -140,9 +112,10 @@ def solve_weighting(
     if side not in ("weight", "coweight"):
         raise ValueError(f"side must be 'weight' or 'coweight', got {side!r}")
     z = zeta_matrix(cat)
+    n = len(z)
     if side == "coweight":
-        z = z.transpose()
-    return solve_right(z, [ONE] * z.rows, free_value)
+        z = _transpose(z, n)
+    return solve_right(z, n, [ONE] * n, free_value)
 
 
 @dataclass(frozen=True)

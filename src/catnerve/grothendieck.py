@@ -162,19 +162,6 @@ class ReducedGrothendieck:
         return FunctorMap(parent, self.category, object_map, morphism_map)
 
 
-def gr_reduced(cover: Cover) -> FinCategory:
-    """The Grothendieck construction of the reduced nerve as a category."""
-    return ReducedGrothendieck(cover).category
-
-
-def rho_tilde(cover: Cover) -> FunctorMap:
-    return ReducedGrothendieck(cover).rho()
-
-
-def pi_left_adjoint(cover: Cover) -> FunctorMap:
-    return ReducedGrothendieck(cover).pi()
-
-
 def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationReport:
     """Verify |hom(x, rho(Y))| = |gr(pi(x), Y)| for every pair, with the
     canonical map f |-> (forced injection, f) a bijection.

@@ -3,8 +3,9 @@
 Chains are the nondegenerate simplices of the nerve: composable strings
 of non-identity morphisms.  Boundaries alternate drop-first / compose /
 drop-last; a face whose composite collapses to an identity is
-degenerate and contributes nothing.  Ranks are exact (Fraction
-elimination), so Betti numbers carry no floating-point noise.
+degenerate and contributes nothing.  Boundary maps are sparse integer
+columns; ranks come from ``euler.rank``, an exact elimination over the
+rationals, so Betti numbers carry no floating-point noise.
 
 Equality of Betti vectors is a necessary condition for the two nerves
 to be weakly equivalent, not a sufficient one; the comparison here is a
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .euler import QMatrix, ZERO, ONE, rank
+from .euler import ZERO, rank
 from .fincat import FinCategory
 
 
@@ -83,21 +84,32 @@ def nerve_chains(
 
 def boundary_matrix(
     cat: FinCategory, lower: list[SimplexChain], upper: list[SimplexChain]
-) -> QMatrix:
-    """Matrix of the boundary map from ``upper`` chains to ``lower`` chains."""
+) -> list[dict[int, int]]:
+    """Boundary map from ``upper`` to ``lower`` chains, one sparse column per
+    upper chain (index into ``lower`` -> nonzero coefficient)."""
     index = {ch: i for i, ch in enumerate(lower)}
     cols = []
     for ch in upper:
-        col = [ZERO] * len(lower)
+        col: dict[int, int] = {}
         for i in range(ch.dim + 1):
             face = _face(cat, ch, i)
-            if face is None:
-                continue
-            col[index[face]] += ONE if i % 2 == 0 else -ONE
-        cols.append(col)
-    return QMatrix.from_rows(
-        [[cols[j][i] for j in range(len(upper))] for i in range(len(lower))]
-    )
+            if face is not None:
+                j = index[face]
+                col[j] = col.get(j, 0) + (1 if i % 2 == 0 else -1)
+        cols.append({j: v for j, v in col.items() if v})
+    return cols
+
+
+def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
+    """Whether ``outer`` after ``inner`` vanishes, both as sparse columns."""
+    for col in inner:
+        acc: dict[int, int] = {}
+        for i, v in col.items():
+            for j, w in outer[i].items():
+                acc[j] = acc.get(j, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -105,7 +117,7 @@ class ChainComplexQ:
     """Chain groups (nondegenerate simplices) with their boundary maps."""
 
     levels: tuple[tuple[SimplexChain, ...], ...]
-    boundaries: tuple[QMatrix, ...]  # boundaries[k] : C_{k+1} -> C_k
+    boundaries: tuple[list[dict[int, int]], ...]  # boundaries[k] : C_{k+1} -> C_k
 
     @property
     def basis_dims(self) -> tuple[int, ...]:
@@ -118,7 +130,7 @@ def chain_complex(cat: FinCategory, max_dim: Optional[int] = None) -> ChainCompl
     for k in range(len(levels) - 1):
         d = boundary_matrix(cat, levels[k], levels[k + 1])
         bnds.append(d)
-        if k > 0 and not bnds[k - 1].mul(d).is_zero():
+        if k > 0 and not _composes_to_zero(bnds[k - 1], d):
             raise RuntimeError(f"boundary square is nonzero between dims {k + 1} and {k - 1}")
     return ChainComplexQ(tuple(tuple(lv) for lv in levels), tuple(bnds))
 

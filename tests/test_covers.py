@@ -14,7 +14,6 @@ from catnerve.covers import (
     ideal_closure,
     intersect,
     is_cover,
-    is_locally_finite,
     membership_counts,
     opposite_subcategory,
     to_two_point_poset,
@@ -146,10 +145,9 @@ def test_two_point_poset_classifier():
         to_two_point_poset(d2)  # a filter, not an ideal
 
 
-def test_membership_counts_and_local_finiteness():
+def test_membership_counts():
     cov = fx.counterexample_cover()
     assert membership_counts(cov) == {"x": 1, "y": 2, "z": 1}
-    assert is_locally_finite(cov)
 
 
 def test_closures_are_classified_correctly():

@@ -13,12 +13,9 @@ from catnerve.grothendieck import (
     ReducedGrothendieck,
     adjunction_check_R,
     adjunction_check_pi,
-    gr_reduced,
     ordered_gr_hom,
-    pi_left_adjoint,
     reduce_object,
     reorder_iso,
-    rho_tilde,
 )
 from catnerve import fixtures as fx
 
@@ -82,20 +79,21 @@ def test_component_and_indices():
 
 def test_rho_is_a_functor():
     for _, cov in fx.all_cover_fixtures():
-        F = rho_tilde(cov)
+        F = ReducedGrothendieck(cov).rho()
         assert validate_functor(F).ok
 
 
 def test_pi_requires_ideals():
     with pytest.raises(ValueError, match="not ideals"):
-        pi_left_adjoint(fx.counterexample_cover())
+        ReducedGrothendieck(fx.counterexample_cover()).pi()
 
 
 def test_pi_is_a_functor_and_section():
     for _, cov in fx.ideal_cover_fixtures():
-        pi = pi_left_adjoint(cov)
+        g = ReducedGrothendieck(cov)
+        pi = g.pi()
         assert validate_functor(pi).ok
-        rho = rho_tilde(cov)
+        rho = g.rho()
         assert rho.after(pi).is_identity()
 
 
@@ -169,8 +167,8 @@ def test_reorder_iso_counterexample():
         reorder_iso(cov, ["1", "3"])
 
 
-def test_gr_reduced_convenience():
-    cat = gr_reduced(fx.poset_v_ideal_cover())
+def test_reduced_grothendieck_category():
+    cat = ReducedGrothendieck(fx.poset_v_ideal_cover()).category
     assert len(cat.objects) == 5
     assert validate_category(cat).ok
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from catnerve.homotopy import (
     euler_consistency,
     nerve_chains,
 )
-from catnerve import fixtures as fx
+from catnerve import fixtures as fx, homotopy
 
 F = Fraction
 
@@ -51,16 +52,30 @@ def test_degenerate_middle_faces_vanish():
     cx = chain_complex(iso, max_dim=2)
     col = {ch: i for i, ch in enumerate(cx.levels[2])}
     j = col[SimplexChain(2, "x", ("f", "g"))]
-    entries = [cx.boundaries[1].entries[i][j] for i in range(len(cx.levels[1]))]
     # only the two outer faces contribute, both with even index (sign +1)
-    assert sorted(x for x in entries if x) == [F(1), F(1)]
+    assert sorted(cx.boundaries[1][j].values()) == [1, 1]
 
 
 def test_boundary_squares_to_zero_on_fixtures():
     for name, cat in fx.category_fixtures():
         cx = chain_complex(cat)  # raises internally if dd != 0
+        for d in cx.boundaries:
+            assert all(v in (1, -1) for col in d for v in col.values()), name
         for a, b in zip(cx.boundaries, cx.boundaries[1:]):
-            assert a.mul(b).is_zero(), name
+            for col in b:
+                image = Counter()
+                for i, v in col.items():
+                    for j, w in a[i].items():
+                        image[j] += v * w
+                assert not any(image.values()), name
+
+
+def test_chain_complex_rejects_nonzero_boundary_square(monkeypatch):
+    signed = homotopy.boundary_matrix
+    monkeypatch.setattr(homotopy, "boundary_matrix", lambda cat, lower, upper: [
+        dict.fromkeys(col, 1) for col in signed(cat, lower, upper)])
+    with pytest.raises(RuntimeError, match="boundary square is nonzero"):
+        chain_complex(fx.chain_poset(3))
 
 
 def test_betti_frozen_values():
