@@ -7,6 +7,7 @@ from catnerve.fincat import (
     FinCategory,
     FunctorMap,
     Mor,
+    Violation,
     identity_functor,
     validate_category,
     validate_functor,
@@ -110,8 +111,26 @@ def test_validate_associativity():
         {("h", "f"): "hf", ("p", "h"): "ph",
          ("p", "hf"): "a", ("ph", "f"): "b"},
     )
-    rep = validate_category(c)
-    assert any(v.rule == "associativity" for v in rep.violations)
+    assert validate_category(c).violations == (
+        Violation("associativity", ("p", "h", "f"), "((p o h) o f) = b but (p o (h o f)) = a"),
+    )
+
+
+def test_validate_associativity_orders_triples_of_one_pair():
+    # two non-associative triples under the pair (h, f), named in the
+    # declaration order of the arrows out of z (q before p)
+    c = FinCategory.build(
+        "B", ["x", "y", "z", "w"],
+        [("f", "x", "y"), ("h", "y", "z"), ("q", "z", "w"), ("p", "z", "w"),
+         ("hf", "x", "z"), ("ph", "y", "w"), ("qh", "y", "w"),
+         ("a", "x", "w"), ("b", "x", "w"), ("c", "x", "w"), ("d", "x", "w")],
+        {("h", "f"): "hf", ("p", "h"): "ph", ("q", "h"): "qh",
+         ("p", "hf"): "a", ("ph", "f"): "b", ("q", "hf"): "c", ("qh", "f"): "d"},
+    )
+    assert validate_category(c).violations == (
+        Violation("associativity", ("q", "h", "f"), "((q o h) o f) = d but (q o (h o f)) = c"),
+        Violation("associativity", ("p", "h", "f"), "((p o h) o f) = b but (p o (h o f)) = a"),
+    )
 
 
 def test_opposite_is_involutive_and_swaps():
@@ -209,3 +228,145 @@ def test_random_dag_categories_validate(seed, n):
     cat = fx.random_dag_category(random.Random(seed), n, max_morphisms=120)
     assert validate_category(cat).ok
     assert cat.is_acyclic()
+
+
+def _per_triple_reference(cat: FinCategory) -> list[tuple]:
+    """The whole axiom check with associativity walked triple by triple:
+    ``validate_category`` must give the same violations in the same order."""
+    v: list[tuple] = []
+    add = v.append
+
+    seen: set[str] = set()
+    for x in cat.objects:
+        if x in seen:
+            add(("objects-distinct", (x,), f"object id {x!r} declared twice"))
+        seen.add(x)
+    objset = set(cat.objects)
+
+    mors: dict[str, Mor] = {}
+    for m in cat.morphisms:
+        if m.name in mors:
+            add(("morphisms-distinct", (m.name,), f"morphism id {m.name!r} declared twice"))
+        mors[m.name] = m
+        for end, side in ((m.dom, "domain"), (m.cod, "codomain")):
+            if end not in objset:
+                add(("endpoints", (m.name,), f"morphism {m.name!r} has unknown {side} {end!r}"))
+
+    for x in cat.objects:
+        i = cat.identity.get(x)
+        if i is None:
+            add(("identity", (x,), f"object {x!r} has no identity"))
+        elif i not in mors:
+            add(("identity", (x, i), f"identity {i!r} of {x!r} is not a declared morphism"))
+        else:
+            m = mors[i]
+            if m.dom != x or m.cod != x:
+                add(("identity", (x, i), f"identity {i!r} of {x!r} has endpoints {m.dom!r} -> {m.cod!r}"))
+    for x in cat.identity:
+        if x not in objset:
+            add(("identity", (x,), f"identity assigned to unknown object {x!r}"))
+
+    for (g, f), h in cat.comp.items():
+        missing = [n for n in (g, f, h) if n not in mors]
+        if missing:
+            add(("composition-reference", (g, f, h),
+                 f"entry ({g}, {f}) = {h} references unknown morphism(s) {missing}"))
+            continue
+        if mors[f].cod != mors[g].dom:
+            add(("composition-extraneous", (g, f), f"composition defined for non-composable pair ({g}, {f})"))
+            continue
+        if mors[h].dom != mors[f].dom or mors[h].cod != mors[g].cod:
+            add(("composition-endpoints", (g, f, h), f"composite {h} of ({g}, {f}) has wrong endpoints"))
+
+    by_dom: dict[str, list[Mor]] = {}
+    for m in cat.morphisms:
+        by_dom.setdefault(m.dom, []).append(m)
+    for f in cat.morphisms:
+        for g in by_dom.get(f.cod, ()):
+            if (g.name, f.name) not in cat.comp:
+                add(("composition-totality", (g.name, f.name), f"composition not total at ({g.name}, {f.name})"))
+
+    for m in cat.morphisms:
+        i_dom = cat.identity.get(m.dom)
+        i_cod = cat.identity.get(m.cod)
+        if i_dom is not None and cat.comp.get((m.name, i_dom), m.name) != m.name:
+            add(("identity-law", (m.name,), f"{m.name} o {i_dom} = {cat.comp[(m.name, i_dom)]} != {m.name}"))
+        if i_cod is not None and cat.comp.get((i_cod, m.name), m.name) != m.name:
+            add(("identity-law", (m.name,), f"{i_cod} o {m.name} = {cat.comp[(i_cod, m.name)]} != {m.name}"))
+
+    for (g, f), gf in cat.comp.items():
+        if g not in mors or f not in mors or gf not in mors:
+            continue
+        if mors[f].cod != mors[g].dom:
+            continue
+        for h in by_dom.get(mors[g].cod, ()):
+            hg = cat.comp.get((h.name, g))
+            left = cat.comp.get((h.name, gf))
+            right = cat.comp.get((hg, f)) if hg is not None else None
+            if hg is None or left is None or right is None:
+                continue
+            if left != right:
+                add(("associativity", (h.name, g, f),
+                     f"(({h.name} o {g}) o {f}) = {right} but ({h.name} o ({g} o {f})) = {left}"))
+    return v
+
+
+def _times_cyclic(cat: FinCategory, m: int) -> FinCategory:
+    """``cat x Z/m``: arrow ``(r, a)`` is named ``r`` for a = 0, else ``r+a``."""
+    def name(r: str, a: int) -> str:
+        return f"{r}+{a}" if a else r
+
+    mors = [Mor(name(r.name, a), r.dom, r.cod) for r in cat.morphisms for a in range(m)]
+    comp = {
+        (name(g, b), name(f, a)): name(gf, (a + b) % m)
+        for (g, f), gf in cat.comp.items() for a in range(m) for b in range(m)
+    }
+    return FinCategory(f"{cat.name}xZ{m}", cat.objects, mors, cat.identity, comp)
+
+
+def _perturb(rng: random.Random, cat: FinCategory) -> FinCategory:
+    """A copy of ``cat`` with one to four random defects in its table or arrows."""
+    mors = list(cat.morphisms)
+    comp = dict(cat.comp)
+    names = [m.name for m in mors]
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5) if comp else 3
+        key = g, f = rng.choice(list(comp)) if comp else ("", "")
+        if kind == 0 and comp[key] in names:  # another arrow of the same hom-set
+            gf = cat.mor(comp[key])
+            comp[key] = rng.choice(cat.hom_set(gf.dom, gf.cod))
+        elif kind == 1 and g in names:  # an arrow of another hom-set
+            comp[key] = c = rng.choice(names)
+            if rng.random() < 0.5:
+                # extraneous entries (h, c) for h out of cod g: the only
+                # extraneous entries the associativity walk of (g, f) reads
+                for h in cat.morphisms_from(cat.mor(g).cod):
+                    comp.setdefault((h.name, c), rng.choice(names))
+        elif kind == 2:
+            del comp[key]
+        elif kind == 3:  # extraneous or dangling
+            comp[(rng.choice(names + ["ghost"]), rng.choice(names))] = rng.choice(names + ["ghost"])
+        else:
+            m = rng.choice(mors)
+            ends = rng.choice([(m.dom, m.cod), (rng.choice(cat.objects), rng.choice(cat.objects))])
+            mors.insert(rng.randrange(len(mors) + 1), Mor(m.name, *ends))
+    return FinCategory(cat.name, cat.objects, mors, cat.identity, comp)
+
+
+def test_validate_matches_per_triple_reference():
+    rng = random.Random(20151103)
+    bases = [c for _, c in fx.category_fixtures()] + [fx.no_weighting_category()]
+    bases += [fx.random_poset(rng, rng.randint(3, 6)) for _ in range(6)]
+    bases += [fx.random_dag_category(rng, rng.randint(3, 5), max_morphisms=40) for _ in range(6)]
+    bases += [_times_cyclic(fx.random_poset(rng, rng.randint(3, 4)), rng.randint(2, 3)) for _ in range(4)]
+    bases += [_times_cyclic(fx.fork_category(), 2), _times_cyclic(fx.delta_category(2), 3)]
+    rules: set[str] = set()
+    for base in bases:
+        assert validate_category(base).ok
+        for _ in range(60):
+            cat = _perturb(rng, base)
+            got = [(x.rule, x.subject, x.message) for x in validate_category(cat).violations]
+            assert got == _per_triple_reference(cat), cat.comp
+            rules.update(r for r, _, _ in got)
+    assert {"associativity", "composition-endpoints", "composition-extraneous",
+            "composition-reference", "composition-totality", "morphisms-distinct"} <= rules
