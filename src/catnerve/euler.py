@@ -8,12 +8,16 @@ of either.
 Matrices are sparse: a list of ``dict[int, int]`` rows mapping a column
 index to a nonzero integer entry.  One elimination serves ``rank`` and
 ``solve_right``; ``fractions.Fraction`` appears only inside it and in
-the solutions.  Nothing here is floating point.
+the solutions.  When every object has exactly one endomorphism and the
+other arrows form no directed cycle (in particular for every validated
+acyclic category), the similarity matrix is unitriangular in a
+topological order of the objects: both vectors are then integral and
+found by substitution in Python ints, without elimination, and only the
+returned entries are Fractions.  Nothing here is floating point.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -94,7 +98,12 @@ def solve_right(
 def zeta_matrix(cat: FinCategory) -> list[dict[int, int]]:
     """Hom-set cardinalities as sparse rows, objects in declaration order."""
     index = {x: j for j, x in enumerate(cat.objects)}
-    return [dict(Counter(index[m.cod] for m in cat.morphisms_from(x))) for x in cat.objects]
+    rows: dict[str, dict[int, int]] = {x: {} for x in index}
+    for (x, y), names in cat._hom.items():
+        row = rows.get(x)
+        if row is not None:
+            row[index[y]] = len(names)
+    return [rows[x] for x in cat.objects]
 
 
 def _transpose(m: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
@@ -105,6 +114,53 @@ def _transpose(m: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, int
     return out
 
 
+def _unitriangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
+    """An order of the objects in which the square ``z`` is upper unitriangular.
+
+    That needs every diagonal entry to be 1 and the off-diagonal support
+    to have no directed cycle; Kahn's algorithm finds the order or
+    leaves some object out, and then there is none.
+    """
+    n = len(z)
+    indegree = [0] * n
+    for i, row in enumerate(z):
+        if row.get(i) != 1:
+            return None
+        for j in row:
+            if j != i:
+                indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is walked: the queue of Kahn's algorithm
+        for j in z[i]:
+            if j != i:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+    return order if len(order) == n else None
+
+
+def _solve(
+    z: Sequence[Mapping[int, int]], order: Optional[list[int]], side: str, free_value: Fraction
+) -> Optional[tuple[Fraction, ...]]:
+    """Weighting or coweighting for zeta ``z``; ``order`` from ``_unitriangular_order``."""
+    n = len(z)
+    if order is None:
+        if side == "coweight":
+            z = _transpose(z, n)
+        return solve_right(z, n, [ONE] * n, free_value)
+    x = [1] * n
+    if side == "weight":  # w_i = 1 - sum_{j after i} z_ij w_j
+        for i in reversed(order):
+            x[i] = 1 - sum(v * x[j] for j, v in z[i].items() if j != i)
+    else:  # v_j = 1 - sum_{i before j} v_i z_ij, pushed along row i once v_i is final
+        for i in order:
+            vi = x[i]
+            for j, v in z[i].items():
+                if j != i:
+                    x[j] -= vi * v
+    return tuple(map(Fraction, x))
+
+
 def solve_weighting(
     cat: FinCategory, side: str = "weight", free_value: Fraction = ZERO
 ) -> Optional[tuple[Fraction, ...]]:
@@ -112,10 +168,7 @@ def solve_weighting(
     if side not in ("weight", "coweight"):
         raise ValueError(f"side must be 'weight' or 'coweight', got {side!r}")
     z = zeta_matrix(cat)
-    n = len(z)
-    if side == "coweight":
-        z = _transpose(z, n)
-    return solve_right(z, n, [ONE] * n, free_value)
+    return _solve(z, _unitriangular_order(z), side, free_value)
 
 
 @dataclass(frozen=True)
@@ -133,8 +186,10 @@ def euler_characteristic(cat: FinCategory) -> EulerResult:
 
     The empty category has Euler characteristic 0.
     """
-    w = solve_weighting(cat, "weight")
-    v = solve_weighting(cat, "coweight")
+    z = zeta_matrix(cat)
+    order = _unitriangular_order(z)
+    w = _solve(z, order, "weight", ZERO)
+    v = _solve(z, order, "coweight", ZERO)
     if w is not None and v is not None:
         return EulerResult(sum(w, ZERO), w, v)
     missing = [name for name, vec in (("weighting", w), ("coweighting", v)) if vec is None]

@@ -180,6 +180,8 @@ class FinCategory:
     # -- plumbing --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, FinCategory):
             return NotImplemented
         return (

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from catnerve.covers import Cover, full_subcategory, intersect, whole_subcategory
 from catnerve.euler import (
+    EulerResult,
+    _unitriangular_order,
     euler_characteristic,
     format_rational,
     inclusion_exclusion_sum,
@@ -17,7 +19,8 @@ from catnerve.euler import (
     two_set_formula,
     zeta_matrix,
 )
-from catnerve.fincat import FinCategory, validate_category
+from catnerve.fincat import FinCategory, Mor, validate_category
+from catnerve.grothendieck import ReducedGrothendieck
 from catnerve import fixtures as fx
 
 F = Fraction
@@ -243,3 +246,76 @@ def test_acyclic_always_has_chi_and_dualizes(seed, n):
     res = euler_characteristic(cat)
     assert res.chi is not None
     assert res.chi == euler_characteristic(cat.opposite()).chi
+
+
+# -- integer substitution on unitriangular zeta vs the elimination -----------
+
+def _eliminated(cat):
+    """Weighting and coweighting by ``solve_right`` on the zeta matrix."""
+    z = zeta_matrix(cat)
+    n = len(z)
+    zt = [{i: row[j] for i, row in enumerate(z) if j in row} for j in range(n)]
+    ones = [F(1)] * n
+    return solve_right(z, n, ones), solve_right(zt, n, ones)
+
+
+def _substitution_inputs():
+    cats = [c for _, c in fx.category_fixtures()] + [fx.delta_category(k) for k in (2, 3, 4, 5)]
+    rng = random.Random(4)
+    for _ in range(15):
+        cats.append(fx.random_poset(rng, rng.randint(1, 9), p=rng.choice([0.2, 0.4, 0.7])))
+        cats.append(fx.random_dag_category(rng, rng.randint(1, 7), max_morphisms=150))
+    for _ in range(4):
+        poset = fx.random_poset(rng, rng.randint(3, 6))
+        for cover in (fx.random_ideal_cover(rng, poset), fx.random_filter_cover(rng, poset)):
+            cats.append(ReducedGrothendieck(cover).category)
+    return cats + [c.opposite() for c in cats]
+
+
+def test_substitution_equals_elimination():
+    for cat in _substitution_inputs():
+        assert _unitriangular_order(zeta_matrix(cat)) is not None, cat
+        w, v = _eliminated(cat)
+        for side, expected in (("weight", w), ("coweight", v)):
+            for free in (F(0), F(7), F(-1, 3)):  # no free variable: free_value never shows
+                got = solve_weighting(cat, side, free)
+                assert got == expected and all(type(x) is F for x in got), (cat, side, free)
+        res = euler_characteristic(cat)
+        assert res == EulerResult(sum(w, F(0)), w, v), cat
+        assert all(type(x) is F for x in (res.chi, *res.weighting, *res.coweighting)), cat
+
+
+def _times_z3(cat):
+    mors = [Mor(f"{m.name}+{a}", m.dom, m.cod) for m in cat.morphisms for a in range(3)]
+    comp = {(f"{g}+{b}", f"{f}+{a}"): f"{gf}+{(a + b) % 3}"
+            for (g, f), gf in cat.comp.items() for a in range(3) for b in range(3)}
+    ids = {x: f"{i}+0" for x, i in cat.identity.items()}
+    return FinCategory(f"{cat.name}xZ3", cat.objects, mors, ids, comp)
+
+
+def test_elimination_kept_where_zeta_is_not_unitriangular():
+    # the answers for no_weighting_category are pinned in test_category_without_euler_characteristic
+    nw = fx.no_weighting_category()
+    product = _times_z3(fx.chain_poset(2))
+    assert validate_category(product).ok
+    assert zeta_matrix(product) == [{0: 3, 1: 3}, {1: 3}]
+    assert euler_characteristic(product) == EulerResult(
+        F(1, 3), (F(0), F(1, 3)), (F(1, 3), F(0)))
+
+    # is_acyclic() sees no endomorphism and no two-way pair, yet x -> y -> z -> x
+    cycle = FinCategory.build("C3", ["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z"), ("h", "z", "x")])
+    assert cycle.is_acyclic() and not validate_category(cycle).ok
+    half = (F(1, 2),) * 3
+    assert euler_characteristic(cycle) == EulerResult(F(3, 2), half, half)
+
+    # x has no endomorphism at all: column x of zeta is zero
+    no_id = FinCategory("N", ["x", "y"], [Mor("f", "x", "y"), Mor("id_y", "y", "y")], {"y": "id_y"}, {})
+    assert zeta_matrix(no_id) == [{1: 1}, {1: 1}]
+    assert solve_weighting(no_id, "weight") == (F(0), F(1))
+    assert solve_weighting(no_id, "weight", free_value=F(5)) == (F(5), F(1))
+    assert euler_characteristic(no_id) == EulerResult(None, (F(0), F(1)), None, "no coweighting")
+
+    for cat in (nw, nw.opposite(), product, product.opposite(), cycle, cycle.opposite(), no_id):
+        assert _unitriangular_order(zeta_matrix(cat)) is None, cat
+        w, v = _eliminated(cat)
+        assert (solve_weighting(cat, "weight"), solve_weighting(cat, "coweight")) == (w, v), cat

@@ -1,8 +1,10 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from catnerve.cli import main
 from catnerve.covers import Subcategory, full_subcategory, whole_subcategory, Cover
@@ -151,6 +153,50 @@ def test_round_trip_random_dags_and_covers(seed, n):
     again = parse_cover(emit_cover(cov), cat)
     assert again.index_order == cov.index_order
     assert all(again.parts[a] == cov.parts[a] for a in cov.index_order)
+
+
+# -- parser fuzzing ---------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CATEGORY_TEXTS = [p.read_text() for p in sorted(FIXTURES.glob("*.fincat"))]
+# each cover file with the category file it is written against (chain4_ideal -> chain4)
+COVER_TEXTS = [(p.read_text(), (FIXTURES / (p.stem.split("_")[0] + ".fincat")).read_text())
+               for p in sorted(FIXTURES.glob("*.cover"))]
+TOKENS = st.sampled_from([
+    "category", "objects", "mor", "comp", "cover", "of", "order", "part", "morphisms",
+    ":", "->", "=", ";", "#", "\n", "C", "U", "x", "y", "z", "f", "g", "h", "id_x", "id_", "1", "2",
+]) | st.text(max_size=4)
+SOUP = st.lists(TOKENS, max_size=30).map(" ".join)
+
+
+@st.composite
+def one_token_mutation(draw, texts):
+    """A fixture text with one token replaced, deleted or preceded by another."""
+    parts = re.split(r"(\s+)", draw(st.sampled_from(texts)))
+    i = draw(st.sampled_from([i for i, p in enumerate(parts) if p and not p.isspace()]))
+    tok = draw(TOKENS)
+    parts[i] = draw(st.sampled_from([tok, "", f"{tok} {parts[i]}"]))
+    return "".join(parts)
+
+
+@settings(max_examples=200)
+@given(SOUP | one_token_mutation(CATEGORY_TEXTS), st.booleans())
+def test_parse_category_raises_only_its_own_errors(text, validate):
+    try:
+        parse_category(text, validate=validate)
+    except (ParseError, InvalidStructureError):
+        pass
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(COVER_TEXTS), st.data())
+def test_parse_cover_raises_only_its_own_errors(pair, data):
+    cover_text, cat_text = pair
+    text = data.draw(SOUP | one_token_mutation([cover_text]))
+    try:
+        parse_cover(text, parse_category(cat_text))
+    except (ParseError, InvalidStructureError):
+        pass
 
 
 # -- command line -----------------------------------------------------------
