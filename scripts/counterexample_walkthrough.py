@@ -13,7 +13,7 @@ produces a circle, not the contractible shape of C itself.
 from fractions import Fraction
 
 from catnerve import fixtures as fx
-from catnerve.covers import classify_subcategory, intersect
+from catnerve.covers import classify_subcategory
 from catnerve.euler import (
     euler_characteristic,
     format_rational,
@@ -58,7 +58,7 @@ def main() -> None:
         print(f"part {label}: objects {{{', '.join(part.objects)}}}"
               f"  ideal={cls.is_ideal} filter={cls.is_filter}"
               f"  chi={format_rational(chi)}")
-    both = intersect([cover.parts[a] for a in cover.index_order])
+    both = cover.piece(cover.index_order)
     print(f"intersection: objects {{{', '.join(both.objects)}}}"
           f"  chi={format_rational(euler_characteristic(both.as_category()).chi)}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
-from .covers import Cover, Subcategory, intersect
+from .covers import Cover, Subcategory
 from .fincat import FinCategory, FunctorMap, ValidationReport, Violation, identity_functor
 
 VARIANTS = ("ordinary", "ordered", "reduced")
@@ -67,11 +67,12 @@ def check_tuple(cover: Cover, t: IndexTuple) -> None:
 def level_piece(cover: Cover, t: IndexTuple) -> NerveLevelPiece:
     """The intersection of the parts named by the tuple.
 
-    Empty intersections are materialized, not skipped.
+    Empty intersections are materialized, not skipped.  The piece is
+    the cover's own (``Cover.piece``), shared with every tuple on the
+    same label set.
     """
     check_tuple(cover, t)
-    parts = [cover.parts[a] for a in dict.fromkeys(t.labels)]
-    return NerveLevelPiece(t, intersect(parts))
+    return NerveLevelPiece(t, cover.piece(t.labels))
 
 
 def _enumerate_tuples(cover: Cover, length: int, variant: str):

@@ -17,6 +17,7 @@ import click
 from . import cech as cech_mod
 from .covers import Cover, classify_subcategory, is_cover
 from .euler import (
+    alternating_sum,
     euler_characteristic,
     format_rational,
     inclusion_exclusion_terms,
@@ -180,23 +181,18 @@ def gr(cat_file: str, cover_file: str, emit_path: str) -> None:
 def incl_excl(cat_file: str, cover_file: str) -> None:
     """Inclusion-exclusion over the cover versus the true characteristic."""
     cat, cover = _load_cover(cat_file, cover_file)
-    undefined = False
-    total = None
-    for labels, chi in inclusion_exclusion_terms(cover):
+    terms = inclusion_exclusion_terms(cover)
+    for labels, chi in terms:
         shown = format_rational(chi) if chi is not None else "undefined"
         click.echo(f"term ({','.join(labels)}): chi = {shown}")
-        if chi is None:
-            undefined = True
-        elif not undefined:
-            sign = 1 if (len(labels) - 1) % 2 == 0 else -1
-            total = (total if total is not None else 0) + sign * chi
+    total = alternating_sum(terms)
     parent_chi = euler_characteristic(cat).chi
-    click.echo(f"sum = {format_rational(total) if total is not None and not undefined else 'undefined'}")
+    click.echo(f"sum = {format_rational(total) if total is not None else 'undefined'}")
     click.echo(
         f"chi({cat.name}) = "
         f"{format_rational(parent_chi) if parent_chi is not None else 'undefined'}"
     )
-    if undefined or parent_chi is None:
+    if total is None or parent_chi is None:
         click.echo("UNDEFINED")
         sys.exit(1)
     if total == parent_chi:

@@ -17,11 +17,12 @@ class Subcategory:
 
     Validity is enforced at construction: identities of every object are
     present, endpoints of every morphism are present, and the set is
-    closed under the parent's composition.
+    closed under the parent's composition.  Only ``intersect`` skips the
+    check, since an intersection of subcategories is one.  Instances are
+    not mutated after construction.
     """
 
     def __init__(self, parent: FinCategory, objects: Iterable[str], morphisms: Iterable[str]):
-        self.parent = parent
         objset = set(objects)
         morset = set(morphisms)
         for x in objset:
@@ -30,11 +31,7 @@ class Subcategory:
         for f in morset:
             if not parent.has_morphism(f):
                 raise ValueError(f"unknown morphism id: {f!r}")
-        # canonical order: parent declaration order
-        self.objects = tuple(x for x in parent.objects if x in objset)
-        self.morphisms = tuple(m.name for m in parent.morphisms if m.name in morset)
-        self._objset = frozenset(self.objects)
-        self._morset = frozenset(self.morphisms)
+        self._adopt(parent, objset, morset)
         for x in self.objects:
             if parent.identity_name(x) not in self._morset:
                 raise ValueError(f"subcategory misses identity of {x!r}")
@@ -46,11 +43,38 @@ class Subcategory:
             if g in self._morset and f in self._morset and h not in self._morset:
                 raise ValueError(f"subcategory not closed under composition: ({g}, {f}) = {h}")
 
+    def _adopt(self, parent: FinCategory, objset: set[str], morset: set[str]) -> None:
+        self.parent = parent
+        # canonical order: parent declaration order
+        self.objects = tuple(x for x in parent.objects if x in objset)
+        self.morphisms = tuple(m.name for m in parent.morphisms if m.name in morset)
+        self._objset = frozenset(self.objects)
+        self._morset = frozenset(self.morphisms)
+
+    @classmethod
+    def _unchecked(cls, parent: FinCategory, objset: set[str], morset: set[str]) -> "Subcategory":
+        """A subcategory from id sets already known to form one."""
+        sub = cls.__new__(cls)
+        sub._adopt(parent, objset, morset)
+        return sub
+
     def has_object(self, x: str) -> bool:
         return x in self._objset
 
     def has_morphism(self, f: str) -> bool:
         return f in self._morset
+
+    def hom_set(self, x: str, y: str) -> list[str]:
+        """Morphisms x -> y of the subcategory: the parent's hom-set,
+        filtered by the morphism set, in declaration order.
+
+        Equals ``as_category().hom_set(x, y)`` without building the
+        restricted table.
+        """
+        for obj in (x, y):
+            if obj not in self._objset:
+                raise ValueError(f"unknown object id: {obj!r}")
+        return [f for f in self.parent._hom.get((x, y), ()) if f in self._morset]
 
     @property
     def full(self) -> bool:
@@ -107,7 +131,11 @@ def empty_subcategory(cat: FinCategory) -> Subcategory:
 
 
 def intersect(parts: Sequence[Subcategory]) -> Subcategory:
-    """Objectwise and morphismwise intersection of subcategories."""
+    """Objectwise and morphismwise intersection of subcategories.
+
+    The result needs no check: identities, endpoints and composites of
+    members common to every part are common to every part.
+    """
     if not parts:
         raise ValueError("intersect needs at least one part")
     parent = parts[0].parent
@@ -119,7 +147,7 @@ def intersect(parts: Sequence[Subcategory]) -> Subcategory:
     for p in parts[1:]:
         objs &= p._objset
         mors &= p._morset
-    return Subcategory(parent, objs, mors)
+    return Subcategory._unchecked(parent, objs, mors)
 
 
 def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
@@ -150,7 +178,14 @@ def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
 
 
 class Cover:
-    """An indexed family of subcategories with a total order on labels."""
+    """An indexed family of subcategories with a total order on labels.
+
+    Covers are not mutated after construction.  The intersection of the
+    parts named by a label set is built once, on first use, and shared
+    by every later ``piece`` call (also from ``with_order`` copies):
+    inclusion-exclusion, ``gr`` and the nerve levels all read the same
+    pieces.
+    """
 
     def __init__(
         self,
@@ -171,6 +206,7 @@ class Cover:
                 raise ValueError(f"part {label!r} has a different parent")
         self.parts = {a: parts[a] for a in self.index_order}
         self._pos = {a: i for i, a in enumerate(self.index_order)}
+        self._pieces: dict[frozenset[str], Subcategory] = {}
 
     def part(self, label: str) -> Subcategory:
         try:
@@ -184,8 +220,28 @@ class Cover:
         except KeyError:
             raise ValueError(f"unknown cover label: {label!r}") from None
 
+    def piece(self, labels: Iterable[str]) -> Subcategory:
+        """Intersection of the parts named by ``labels``.
+
+        Keyed by the label set, so order and repeats do not matter;
+        raises ValueError on an unknown label or on no labels at all.
+        """
+        key = frozenset(labels)
+        sub = self._pieces.get(key)
+        if sub is None:
+            if not key:
+                raise ValueError("a piece needs at least one label")
+            unknown = key.difference(self.parts)
+            if unknown:
+                raise ValueError(f"unknown cover label: {min(unknown, key=str)!r}")
+            sub = intersect([self.parts[a] for a in self.index_order if a in key])
+            self._pieces[key] = sub
+        return sub
+
     def with_order(self, index_order: Sequence[str]) -> "Cover":
-        return Cover(self.parent, index_order, self.parts, name=self.name)
+        other = Cover(self.parent, index_order, self.parts, name=self.name)
+        other._pieces = self._pieces  # same parts, same label sets
+        return other
 
     def __repr__(self) -> str:
         return f"Cover({self.name!r} on {self.parent.name!r}, labels={list(self.index_order)})"

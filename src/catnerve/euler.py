@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, intersect, union_closure
@@ -141,8 +142,12 @@ def _unitriangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
 
 def _solve(
     z: Sequence[Mapping[int, int]], order: Optional[list[int]], side: str, free_value: Fraction
-) -> Optional[tuple[Fraction, ...]]:
-    """Weighting or coweighting for zeta ``z``; ``order`` from ``_unitriangular_order``."""
+) -> Optional[tuple]:
+    """Weighting or coweighting for zeta ``z``; ``order`` from ``_unitriangular_order``.
+
+    The entries are Python ints when ``order`` is given (the callers
+    wrap them) and Fractions, or None, from the elimination otherwise.
+    """
     n = len(z)
     if order is None:
         if side == "coweight":
@@ -158,7 +163,7 @@ def _solve(
             for j, v in z[i].items():
                 if j != i:
                     x[j] -= vi * v
-    return tuple(map(Fraction, x))
+    return tuple(x)
 
 
 def solve_weighting(
@@ -168,7 +173,9 @@ def solve_weighting(
     if side not in ("weight", "coweight"):
         raise ValueError(f"side must be 'weight' or 'coweight', got {side!r}")
     z = zeta_matrix(cat)
-    return _solve(z, _unitriangular_order(z), side, free_value)
+    order = _unitriangular_order(z)
+    x = _solve(z, order, side, free_value)
+    return x if order is None else tuple(map(Fraction, x))
 
 
 @dataclass(frozen=True)
@@ -184,16 +191,19 @@ class EulerResult:
 def euler_characteristic(cat: FinCategory) -> EulerResult:
     """Sum of a weighting when a coweighting also exists; exact rational.
 
-    The empty category has Euler characteristic 0.
+    The empty category has Euler characteristic 0.  An integral
+    weighting is summed as ints and wrapped once.
     """
     z = zeta_matrix(cat)
     order = _unitriangular_order(z)
     w = _solve(z, order, "weight", ZERO)
     v = _solve(z, order, "coweight", ZERO)
-    if w is not None and v is not None:
+    if w is None or v is None:  # only the elimination finds no solution
+        missing = [name for name, vec in (("weighting", w), ("coweighting", v)) if vec is None]
+        return EulerResult(None, w, v, reason="no " + " and no ".join(missing))
+    if order is None:
         return EulerResult(sum(w, ZERO), w, v)
-    missing = [name for name, vec in (("weighting", w), ("coweighting", v)) if vec is None]
-    return EulerResult(None, w, v, reason="no " + " and no ".join(missing))
+    return EulerResult(Fraction(sum(w)), tuple(map(Fraction, w)), tuple(map(Fraction, v)))
 
 
 def inclusion_exclusion_terms(
@@ -202,16 +212,28 @@ def inclusion_exclusion_terms(
     """chi of every strictly increasing intersection, in level-lex order.
 
     Empty intersections are kept (their chi is 0), so the alternating
-    sum below matches the literal formula term by term.
+    sum below matches the literal formula term by term.  The pieces are
+    the cover's own (``Cover.piece``); only their standalone category
+    views are built here, one at a time.
     """
-    from itertools import combinations
+    return [
+        (labels, euler_characteristic(cover.piece(labels).as_category()).chi)
+        for n in range(len(cover.index_order))
+        for labels in combinations(cover.index_order, n + 1)
+    ]
 
-    out = []
-    for n in range(len(cover.index_order)):
-        for labels in combinations(cover.index_order, n + 1):
-            piece = intersect([cover.parts[a] for a in labels]).as_category()
-            out.append((labels, euler_characteristic(piece).chi))
-    return out
+
+def alternating_sum(
+    terms: Iterable[tuple[Sequence[str], Optional[Fraction]]],
+) -> Optional[Fraction]:
+    """Sum of ``(labels, chi)`` terms, signed by the parity of the tuple
+    length (singletons count +); None if any chi is undefined."""
+    total = ZERO
+    for labels, chi in terms:
+        if chi is None:
+            return None
+        total += chi if len(labels) % 2 else -chi
+    return total
 
 
 def inclusion_exclusion_sum(cover: Cover) -> Optional[Fraction]:
@@ -220,12 +242,7 @@ def inclusion_exclusion_sum(cover: Cover) -> Optional[Fraction]:
     Equals chi of the parent for ideal covers and for filter covers;
     fails in general (see the two-part counterexample in the tests).
     """
-    total = ZERO
-    for labels, chi in inclusion_exclusion_terms(cover):
-        if chi is None:
-            return None
-        total += chi if (len(labels) - 1) % 2 == 0 else -chi
-    return total
+    return alternating_sum(inclusion_exclusion_terms(cover))
 
 
 def two_set_formula(a: Subcategory, b: Subcategory) -> ValidationReport:

@@ -12,10 +12,11 @@ composite inside the target intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
-from .covers import Cover, classify_subcategory, intersect, is_cover
+from .covers import Cover, Subcategory, classify_subcategory, is_cover
 from .fincat import FinCategory, FunctorMap, ValidationReport, Violation
 
 
@@ -26,7 +27,7 @@ class GrObject:
     labels: tuple[str, ...]
     obj: str
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{self.obj}@{','.join(self.labels)}"
 
@@ -45,7 +46,7 @@ class GrMorphism:
     source: GrObject
     target: GrObject
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{self.component}|{self.source.name}=>{self.target.name}"
 
@@ -59,7 +60,12 @@ class OrderedGrObjectDescriptor:
 
 
 class ReducedGrothendieck:
-    """Total category of the reduced nerve, with its comparison functors."""
+    """Total category of the reduced nerve, with its comparison functors.
+
+    ``piece[t]`` is the cover's intersection for the tuple ``t``
+    (``Cover.piece``), a ``Subcategory`` of the parent; hom-sets are read
+    from it without building a standalone category per piece.
+    """
 
     def __init__(self, cover: Cover, *, require_cover: bool = True):
         if require_cover and not is_cover(cover):
@@ -71,31 +77,28 @@ class ReducedGrothendieck:
         self.tuples: list[tuple[str, ...]] = [
             t for n in range(len(order)) for t in combinations(order, n + 1)
         ]
-        self.piece: dict[tuple[str, ...], FinCategory] = {
-            t: intersect([cover.parts[a] for a in t]).as_category() for t in self.tuples
-        }
+        self.piece: dict[tuple[str, ...], Subcategory] = {t: cover.piece(t) for t in self.tuples}
 
-        self.objects: list[GrObject] = [
-            GrObject(t, x) for t in self.tuples for x in self.piece[t].objects
-        ]
+        # one GrObject per (tuple, object); its name is computed once
+        fibers = {t: [GrObject(t, x) for x in self.piece[t].objects] for t in self.tuples}
+        self.objects: list[GrObject] = [o for t in self.tuples for o in fibers[t]]
         self.object_by_name = {o.name: o for o in self.objects}
 
         self.morphisms: list[GrMorphism] = []  # non-identity only
         self.morphism_by_name: dict[str, GrMorphism] = {}
         self._by_key: dict[tuple[str, str, str], str] = {}  # (src, tgt, component) -> name
         for s in self.tuples:
-            sset = set(s)
-            for t in self.tuples:
-                if not set(t) <= sset:
-                    continue
-                phi = tuple(s.index(a) for a in t)  # forced: both tuples strictly increasing
-                pc = self.piece[t]
-                for x in self.piece[s].objects:
-                    src = GrObject(s, x)
-                    for y in pc.objects:
-                        for f in pc.hom_set(x, y):
-                            tgt = GrObject(t, y)
-                            if s == t and f == parent.identity_name(x):
+            # the sub-tuples t of s, in the order of self.tuples; phi is
+            # forced, as both tuples are strictly increasing
+            for phi in (p for n in range(len(s)) for p in combinations(range(len(s)), n + 1)):
+                t = tuple(s[i] for i in phi)
+                hom = self.piece[t].hom_set
+                for src in fibers[s]:
+                    x = src.obj
+                    idx = parent.identity_name(x) if s == t else None
+                    for tgt in fibers[t]:
+                        for f in hom(x, tgt.obj):
+                            if f == idx:
                                 self._by_key[(src.name, tgt.name, f)] = f"id_{src.name}"
                                 continue
                             m = GrMorphism(phi, f, src, tgt)
@@ -193,26 +196,25 @@ def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationRep
     return ValidationReport(tuple(v), details=(f"checked {pairs} pairs",))
 
 
-def _check_descriptor(cover: Cover, d: OrderedGrObjectDescriptor, piece: FinCategory) -> None:
+def _check_descriptor(cover: Cover, d: OrderedGrObjectDescriptor, piece: Subcategory) -> None:
     pos = [cover.position(a) for a in d.labels]
-    if not pos:
-        raise ValueError("descriptor tuples are nonempty")
     if any(a > b for a, b in zip(pos, pos[1:])):
         raise ValueError(f"descriptor tuple {d.labels} is not weakly increasing")
     if not piece.has_object(d.obj):
         raise ValueError(f"object {d.obj!r} is not in the intersection of {d.labels}")
 
 
-def _piece_of(cover: Cover, labels: Sequence[str], cache: dict) -> FinCategory:
-    key = tuple(sorted(set(labels), key=cover.position))
-    if key not in cache:
-        cache[key] = intersect([cover.parts[a] for a in key]).as_category()
-    return cache[key]
+def ordered_gr_hom(
+    cover: Cover, X: OrderedGrObjectDescriptor, Y: OrderedGrObjectDescriptor
+) -> list[tuple[tuple[int, ...], str]]:
+    """Hom-set between fibers of the ordered nerve, as (phi, component) pairs.
 
-
-def _ordered_gr_hom(cover, X, Y, cache) -> list[tuple[tuple[int, ...], str]]:
-    xp = _piece_of(cover, X.labels, cache)
-    yp = _piece_of(cover, Y.labels, cache)
+    The ordered total category itself is never materialized; this
+    enumerates all order-preserving index maps compatible with the two
+    tuples and pairs them with the component morphisms.
+    """
+    xp = cover.piece(X.labels)  # raises on empty or unknown labels
+    yp = cover.piece(Y.labels)
     _check_descriptor(cover, X, xp)
     _check_descriptor(cover, Y, yp)
     n = len(X.labels) - 1
@@ -229,24 +231,10 @@ def _ordered_gr_hom(cover, X, Y, cache) -> list[tuple[tuple[int, ...], str]]:
                 extend(j + 1, prefix + (p,))
 
     extend(0, ())
-    if not phis:
-        return []
-    if X.obj not in set(yp.objects):
+    if not phis or not yp.has_object(X.obj):
         return []
     fs = yp.hom_set(X.obj, Y.obj)
     return [(phi, f) for phi in phis for f in fs]
-
-
-def ordered_gr_hom(
-    cover: Cover, X: OrderedGrObjectDescriptor, Y: OrderedGrObjectDescriptor
-) -> list[tuple[tuple[int, ...], str]]:
-    """Hom-set between fibers of the ordered nerve, as (phi, component) pairs.
-
-    The ordered total category itself is never materialized; this
-    enumerates all order-preserving index maps compatible with the two
-    tuples and pairs them with the component morphisms.
-    """
-    return _ordered_gr_hom(cover, X, Y, {})
 
 
 def reduce_object(X: OrderedGrObjectDescriptor) -> tuple[GrObject, tuple[int, ...]]:
@@ -270,12 +258,10 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
     bijection with the ordered hom-set at (Z, Y).
     """
     rg = ReducedGrothendieck(cover)
-    cache: dict = {}
     descriptors = []
     for length in range(1, max_len + 1):
         for labels in combinations_with_replacement(cover.index_order, length):
-            piece = _piece_of(cover, labels, cache)
-            for x in piece.objects:
+            for x in cover.piece(labels).objects:
                 descriptors.append(OrderedGrObjectDescriptor(labels, x))
     v: list[Violation] = []
     pairs = 0
@@ -285,7 +271,7 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
             pairs += 1
             ry, _ = reduce_object(Y)
             lhs = len(rg.category.hom_set(Z.name, ry.name))
-            rhs = len(_ordered_gr_hom(cover, zd, Y, cache))
+            rhs = len(ordered_gr_hom(cover, zd, Y))
             if lhs != rhs:
                 v.append(Violation(
                     "adjunction-R", (Z.name, f"{Y.obj}@{','.join(Y.labels)}"),

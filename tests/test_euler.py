@@ -282,6 +282,7 @@ def test_substitution_equals_elimination():
                 assert got == expected and all(type(x) is F for x in got), (cat, side, free)
         res = euler_characteristic(cat)
         assert res == EulerResult(sum(w, F(0)), w, v), cat
+        assert repr(res.chi) == repr(sum(w, F(0))), cat
         assert all(type(x) is F for x in (res.chi, *res.weighting, *res.coweighting)), cat
 
 
