@@ -5,87 +5,66 @@ subcategories, the level pieces of the cover's nerve in three variants,
 the total category of the reduced nerve, exact rational weightings and
 Euler characteristics, and rational homology of nerves for comparing a
 category with the total category of one of its covers.
+
+Importing the package loads none of its modules: each exported name is
+resolved from its module on first access (PEP 562), so a CLI command
+pays only for the modules it uses.
 """
 
-from .fincat import (
-    FinCategory,
-    FunctorMap,
-    Mor,
-    ValidationReport,
-    Violation,
-    identity_functor,
-    validate_category,
-    validate_functor,
-)
-from .covers import (
-    Classification,
-    Cover,
-    Subcategory,
-    classify_subcategory,
-    complement,
-    empty_subcategory,
-    filter_closure,
-    full_subcategory,
-    ideal_closure,
-    intersect,
-    is_cover,
-    membership_counts,
-    opposite_subcategory,
-    to_two_point_poset,
-    two_point_poset,
-    union_closure,
-    whole_subcategory,
-)
-from .cech import (
-    IndexTuple,
-    NerveLevelPiece,
-    check_simplicial_identities,
-    delta_face,
-    delta_degeneracy,
-    face_functor,
-    degeneracy_functor,
-    induced_functor,
-    level,
-    level_piece,
-)
-from .grothendieck import (
-    GrMorphism,
-    GrObject,
-    OrderedGrObjectDescriptor,
-    ReducedGrothendieck,
-    adjunction_check_R,
-    adjunction_check_pi,
-    ordered_gr_hom,
-    reduce_object,
-    reorder_iso,
-)
-from .euler import (
-    EulerResult,
-    euler_characteristic,
-    format_rational,
-    inclusion_exclusion_sum,
-    inclusion_exclusion_terms,
-    mobius_oracle,
-    solve_weighting,
-    two_set_formula,
-    zeta_matrix,
-)
-from .homotopy import (
-    HomologyComparison,
-    HomologyReport,
-    SimplexChain,
-    betti_numbers,
-    compare_homology,
-    euler_consistency,
-    nerve_chains,
-)
-from .io import (
-    InvalidStructureError,
-    ParseError,
-    emit_category,
-    emit_cover,
-    parse_category,
-    parse_cover,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "fincat": (
+        "FinCategory", "FunctorMap", "Mor", "ValidationReport", "Violation",
+        "identity_functor", "validate_category", "validate_functor",
+    ),
+    "covers": (
+        "Classification", "Cover", "Subcategory", "classify_subcategory", "complement",
+        "empty_subcategory", "filter_closure", "full_subcategory", "ideal_closure",
+        "intersect", "is_cover", "membership_counts", "opposite_subcategory",
+        "to_two_point_poset", "two_point_poset", "union_closure", "whole_subcategory",
+    ),
+    "cech": (
+        "IndexTuple", "NerveLevelPiece", "check_simplicial_identities", "delta_face",
+        "delta_degeneracy", "face_functor", "degeneracy_functor", "induced_functor",
+        "level", "level_piece",
+    ),
+    "grothendieck": (
+        "GrMorphism", "GrObject", "OrderedGrObjectDescriptor", "ReducedGrothendieck",
+        "adjunction_check_R", "adjunction_check_pi", "ordered_gr_hom", "reduce_object",
+        "reorder_iso",
+    ),
+    "euler": (
+        "EulerResult", "euler_characteristic", "format_rational", "inclusion_exclusion_sum",
+        "inclusion_exclusion_terms", "mobius_oracle", "solve_weighting", "two_set_formula",
+        "zeta_matrix",
+    ),
+    "homotopy": (
+        "HomologyComparison", "HomologyReport", "SimplexChain", "betti_numbers",
+        "compare_homology", "euler_consistency", "nerve_chains",
+    ),
+    "io": (
+        "InvalidStructureError", "ParseError", "emit_category", "emit_cover",
+        "parse_category", "parse_cover",
+    ),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "fixtures"}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    mod = _MODULE_OF.get(name)
+    if mod is not None:
+        value = getattr(import_module(f".{mod}", __name__), name)
+        globals()[name] = value  # later lookups skip this hook
+        return value
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys() | _SUBMODULES)

@@ -5,6 +5,10 @@ mismatched characteristics, differing Betti vectors, ...), 2 the input
 could not be used at all (unreadable file, parse error, usage error).
 Output is deterministic for a given input: object, morphism and label
 orders are the declaration orders.
+
+Only parsing (``io``, and through it ``covers`` and ``fincat``) is
+imported up front; each command imports the other modules it needs in
+its own body, so a process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -14,17 +18,8 @@ from pathlib import Path
 
 import click
 
-from . import cech as cech_mod
 from .covers import Cover, classify_subcategory, is_cover
-from .euler import (
-    alternating_sum,
-    euler_characteristic,
-    format_rational,
-    inclusion_exclusion_terms,
-)
 from .fincat import FinCategory, validate_category
-from .grothendieck import ReducedGrothendieck, adjunction_check_pi, adjunction_check_R
-from .homotopy import betti_numbers, compare_homology
 from .io import InvalidStructureError, ParseError, emit_category, parse_category, parse_cover
 
 
@@ -57,6 +52,8 @@ def _load_cover(cat_path: str, cover_path: str) -> tuple[FinCategory, Cover]:
 
 
 def _betti_or_fail(cat: FinCategory, max_dim, what: str):
+    from .homotopy import betti_numbers
+
     if max_dim is None and not cat.is_acyclic():
         _fail(f"{what} is not acyclic; pass --max-dim to truncate", 1)
     return betti_numbers(cat, max_dim)
@@ -89,6 +86,8 @@ def validate(cat_file: str) -> None:
 @click.option("--weights", is_flag=True, help="also print the weighting and coweighting")
 def euler(cat_file: str, weights: bool) -> None:
     """Exact Euler characteristic via weightings."""
+    from .euler import euler_characteristic, format_rational
+
     cat = _load_category(cat_file)
     res = euler_characteristic(cat)
     if res.chi is None:
@@ -133,12 +132,16 @@ def cover_check(cat_file: str, cover_file: str, require_ideal: bool, require_fil
 @click.argument("cat_file")
 @click.argument("cover_file")
 @click.option("--level", "level_n", type=int, required=True, help="nerve level (tuples of length level+1)")
-@click.option("--variant", type=click.Choice(cech_mod.VARIANTS), default="ordinary", show_default=True)
+# the values of cech.VARIANTS, spelled out so that parsing the options does not load cech
+@click.option("--variant", type=click.Choice(("ordinary", "ordered", "reduced")),
+              default="ordinary", show_default=True)
 def cech(cat_file: str, cover_file: str, level_n: int, variant: str) -> None:
     """List the intersection pieces at one nerve level."""
+    from .cech import level
+
     _, cover = _load_cover(cat_file, cover_file)
     try:
-        pieces = cech_mod.level(cover, level_n, variant, ordinary_cap=max(level_n, 0))
+        pieces = level(cover, level_n, variant, ordinary_cap=max(level_n, 0))
     except ValueError as e:
         _fail(str(e), 2)
     click.echo(f"variant {variant}, level {level_n}: {len(pieces)} pieces")
@@ -154,6 +157,9 @@ def cech(cat_file: str, cover_file: str, level_n: int, variant: str) -> None:
               help="write the total category in file format ('-' for stdout)")
 def gr(cat_file: str, cover_file: str, emit_path: str) -> None:
     """Build the total category of the reduced nerve."""
+    from .euler import euler_characteristic, format_rational
+    from .grothendieck import ReducedGrothendieck
+
     _, cover = _load_cover(cat_file, cover_file)
     try:
         g = ReducedGrothendieck(cover)
@@ -180,6 +186,8 @@ def gr(cat_file: str, cover_file: str, emit_path: str) -> None:
 @click.argument("cover_file")
 def incl_excl(cat_file: str, cover_file: str) -> None:
     """Inclusion-exclusion over the cover versus the true characteristic."""
+    from .euler import alternating_sum, euler_characteristic, format_rational, inclusion_exclusion_terms
+
     cat, cover = _load_cover(cat_file, cover_file)
     terms = inclusion_exclusion_terms(cover)
     for labels, chi in terms:
@@ -207,6 +215,8 @@ def incl_excl(cat_file: str, cover_file: str) -> None:
 @click.option("--max-dim", type=int, default=None, help="truncate the nerve at this dimension")
 def homology(cat_file: str, max_dim) -> None:
     """Betti numbers of the nerve over the rationals."""
+    from .euler import format_rational
+
     cat = _load_category(cat_file)
     rep = _betti_or_fail(cat, max_dim, f"category {cat.name}")
     click.echo("dim\tbasis\tbetti")
@@ -223,6 +233,9 @@ def homology(cat_file: str, max_dim) -> None:
 @click.option("--max-dim", type=int, default=None, help="truncate both nerves at this dimension")
 def nerve_compare(cat_file: str, cover_file: str, max_dim) -> None:
     """Betti numbers of the category against its reduced-nerve total category."""
+    from .grothendieck import ReducedGrothendieck
+    from .homotopy import compare_homology
+
     cat, cover = _load_cover(cat_file, cover_file)
     try:
         g = ReducedGrothendieck(cover)
@@ -251,6 +264,8 @@ def nerve_compare(cat_file: str, cover_file: str, max_dim) -> None:
 @click.option("--max-len", type=int, default=3, show_default=True, help="tuple length bound for --ordered")
 def adjunction(cat_file: str, cover_file: str, diagnostic: bool, ordered_side: bool, max_len: int) -> None:
     """Hom-set counting checks for the comparison functors."""
+    from .grothendieck import adjunction_check_pi, adjunction_check_R
+
     _, cover = _load_cover(cat_file, cover_file)
     try:
         if ordered_side:

@@ -18,10 +18,9 @@ returned entries are Fractions.  Nothing here is floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, intersect, union_closure
 from .fincat import FinCategory, ValidationReport, Violation
@@ -178,8 +177,7 @@ def solve_weighting(
     return x if order is None else tuple(map(Fraction, x))
 
 
-@dataclass(frozen=True)
-class EulerResult:
+class EulerResult(NamedTuple):
     """chi is present iff both vectors are; reason says which is missing."""
 
     chi: Optional[Fraction]

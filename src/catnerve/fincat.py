@@ -9,12 +9,10 @@ inspected and tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Mor:
+class Mor(NamedTuple):
     """A named arrow with its two endpoints."""
 
     name: str
@@ -22,15 +20,13 @@ class Mor:
     cod: str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     subject: tuple[str, ...]
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of an axiom check; ``ok`` iff no violations were found.
 
     ``isomorphism`` is filled in by ``validate_functor`` only;
@@ -200,8 +196,7 @@ class FinCategory:
         )
 
 
-@dataclass(frozen=True)
-class FunctorMap:
+class FunctorMap(NamedTuple):
     """A functor given by explicit object and morphism dictionaries."""
 
     source: FinCategory

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, is_cover
 from .fincat import FinCategory, FunctorMap, ValidationReport, Violation
@@ -51,8 +51,7 @@ class GrMorphism:
         return f"{self.component}|{self.source.name}=>{self.target.name}"
 
 
-@dataclass(frozen=True)
-class OrderedGrObjectDescriptor:
+class OrderedGrObjectDescriptor(NamedTuple):
     """A fiber object over a weakly increasing label tuple (never materialized)."""
 
     labels: tuple[str, ...]
@@ -84,6 +83,18 @@ class ReducedGrothendieck:
         self.objects: list[GrObject] = [o for t in self.tuples for o in fibers[t]]
         self.object_by_name = {o.name: o for o in self.objects}
 
+        # the parent's non-empty hom-sets out of each object, codomains in
+        # declaration order: the fiber pairs with nothing between them are
+        # never visited
+        rank = {x: i for i, x in enumerate(parent.objects)}
+        homs_from: dict[str, list[tuple[str, list[str]]]] = {}
+        for (x, y), names in parent._hom.items():
+            if y in rank:
+                homs_from.setdefault(x, []).append((y, names))
+        for out in homs_from.values():
+            out.sort(key=lambda pair: rank[pair[0]])
+        fiber_of = {t: {o.obj: o for o in fibers[t]} for t in self.tuples}
+
         self.morphisms: list[GrMorphism] = []  # non-identity only
         self.morphism_by_name: dict[str, GrMorphism] = {}
         self._by_key: dict[tuple[str, str, str], str] = {}  # (src, tgt, component) -> name
@@ -92,12 +103,18 @@ class ReducedGrothendieck:
             # forced, as both tuples are strictly increasing
             for phi in (p for n in range(len(s)) for p in combinations(range(len(s)), n + 1)):
                 t = tuple(s[i] for i in phi)
-                hom = self.piece[t].hom_set
+                in_t = self.piece[t]._morset
+                tgt_of = fiber_of[t]
                 for src in fibers[s]:
                     x = src.obj
                     idx = parent.identity_name(x) if s == t else None
-                    for tgt in fibers[t]:
-                        for f in hom(x, tgt.obj):
+                    for y, names in homs_from.get(x, ()):
+                        tgt = tgt_of.get(y)
+                        if tgt is None:
+                            continue
+                        for f in names:
+                            if f not in in_t:
+                                continue
                             if f == idx:
                                 self._by_key[(src.name, tgt.name, f)] = f"id_{src.name}"
                                 continue
@@ -179,14 +196,19 @@ def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationRep
         if bad:
             raise ValueError(f"parts are not ideals: {bad} (use diagnostic=True to force)")
     parent = cover.parent
+    # the hom indices are read directly, without hom_set's checks: pi(x)
+    # is an object of gr, since the parts cover every object
+    parent_hom, gr_hom = parent._hom, rg.category._hom
     v: list[Violation] = []
     pairs = 0
     for x in parent.objects:
         pix = GrObject(rg.indices_of(x), x).name
         for Y in rg.objects:
             pairs += 1
-            expected = parent.hom_set(x, Y.obj)
-            got = rg.category.hom_set(pix, Y.name)
+            expected = parent_hom.get((x, Y.obj), ())
+            got = gr_hom.get((pix, Y.name), ())
+            if not expected and not got:
+                continue
             components = sorted(rg.component_of(n) for n in got)
             if len(got) != len(expected) or components != sorted(expected):
                 v.append(Violation(

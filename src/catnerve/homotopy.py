@@ -14,16 +14,14 @@ detector of failure, not a certificate of success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .euler import ZERO, rank
 from .fincat import FinCategory
 
 
-@dataclass(frozen=True)
-class SimplexChain:
+class SimplexChain(NamedTuple):
     """A nondegenerate simplex: ``start`` then ``dim`` non-identity arrows."""
 
     dim: int
@@ -112,8 +110,7 @@ def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) 
     return True
 
 
-@dataclass(frozen=True)
-class ChainComplexQ:
+class ChainComplexQ(NamedTuple):
     """Chain groups (nondegenerate simplices) with their boundary maps."""
 
     levels: tuple[tuple[SimplexChain, ...], ...]
@@ -135,8 +132,7 @@ def chain_complex(cat: FinCategory, max_dim: Optional[int] = None) -> ChainCompl
     return ChainComplexQ(tuple(tuple(lv) for lv in levels), tuple(bnds))
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     """Betti numbers over Q with the top-level alternating count.
 
     ``truncated`` marks a complex cut by ``max_dim`` while nonempty
@@ -178,8 +174,7 @@ def _pad(t: tuple[int, ...], n: int) -> tuple[int, ...]:
     return t + (0,) * (n - len(t))
 
 
-@dataclass(frozen=True)
-class HomologyComparison:
+class HomologyComparison(NamedTuple):
     left: HomologyReport
     right: HomologyReport
     equal: bool

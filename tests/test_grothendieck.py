@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catnerve.covers import Cover, full_subcategory
-from catnerve.euler import euler_characteristic
+from catnerve.euler import euler_characteristic, inclusion_exclusion_sum
 from catnerve.fincat import validate_category, validate_functor
 from catnerve.grothendieck import (
     GrObject,
@@ -189,3 +189,39 @@ def test_pi_adjunction_random_ideal_covers(seed):
     cat = fx.random_poset(r, 5)
     cov = fx.random_ideal_cover(r, cat, max_parts=3)
     assert adjunction_check_pi(cov).ok
+
+
+# -- chi(gr U) equals the inclusion-exclusion sum -----------------------------
+#
+# gr(U) is a Grothendieck construction over the face poset of the reduced
+# nerve, and Leinster's formula for such a construction ("The Euler
+# characteristic of a category", Doc. Math. 2008) weights each piece by
+# (-1)^dim: its chi is the alternating sum of the pieces' chis, whether or
+# not gr(U) is equivalent to C.  On the counterexample both sides are 0
+# while chi(C) = 1.
+
+def _chi_gr_and_sum(cov):
+    return (euler_characteristic(ReducedGrothendieck(cov).category).chi,
+            inclusion_exclusion_sum(cov))
+
+
+@pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())
+def test_chi_gr_is_inclusion_exclusion_on_fixtures(name, cov):
+    chi_gr, total = _chi_gr_and_sum(cov)
+    assert chi_gr is not None and chi_gr == total
+
+
+def test_chi_gr_is_inclusion_exclusion_on_counterexample():
+    cov = fx.counterexample_cover()
+    assert _chi_gr_and_sum(cov) == (0, 0)
+    assert euler_characteristic(cov.parent).chi == 1
+
+
+@given(st.integers(0, 10**9), st.integers(2, 7), st.sampled_from(["poset", "dag"]),
+       st.sampled_from(["ideal", "filter"]))
+def test_chi_gr_is_inclusion_exclusion_random(seed, n, kind, parts):
+    r = random.Random(seed)
+    cat = fx.random_poset(r, n) if kind == "poset" else fx.random_dag_category(r, n, max_morphisms=120)
+    make = fx.random_ideal_cover if parts == "ideal" else fx.random_filter_cover
+    chi_gr, total = _chi_gr_and_sum(make(r, cat, max_parts=4))
+    assert chi_gr is not None and chi_gr == total

@@ -16,7 +16,7 @@ import pytest
 from catnerve import cech, covers, fixtures as fx
 from catnerve.covers import Cover, Subcategory, classify_subcategory, ideal_closure, is_cover
 from catnerve.euler import euler_characteristic, inclusion_exclusion_sum, inclusion_exclusion_terms
-from catnerve.fincat import FinCategory
+from catnerve.fincat import FinCategory, ValidationReport, Violation
 from catnerve.grothendieck import (
     OrderedGrObjectDescriptor,
     ReducedGrothendieck,
@@ -119,6 +119,28 @@ def _ref_ordered_gr_hom(cover, X, Y):
     if not phis or X.obj not in yp.objects:
         return []
     return [(phi, f) for phi in phis for f in yp.hom_set(X.obj, Y.obj)]
+
+
+def _ref_adjunction_check_pi(cover):
+    """The pi check reading both hom-sets of every pair through ``hom_set``,
+    with the parts' ideal hypothesis forced (``diagnostic=True``)."""
+    rg = ReducedGrothendieck(cover)
+    parent = cover.parent
+    v = []
+    pairs = 0
+    for x in parent.objects:
+        pix = _gr_name(tuple(a for a in cover.index_order if cover.parts[a].has_object(x)), x)
+        for Y in rg.objects:
+            pairs += 1
+            expected = parent.hom_set(x, Y.obj)
+            got = rg.category.hom_set(pix, Y.name)
+            components = sorted(rg.component_of(n) for n in got)
+            if len(got) != len(expected) or components != sorted(expected):
+                v.append(Violation(
+                    "adjunction-pi", (x, Y.name),
+                    f"|hom({x}, {Y.obj})| = {len(expected)} but |gr(pi({x}), {Y.name})| = {len(got)}",
+                ))
+    return ValidationReport(tuple(v), details=(f"checked {pairs} pairs",))
 
 
 # -- inputs ----------------------------------------------------------------
@@ -260,6 +282,11 @@ def test_ordered_gr_hom_matches_reference(name, cov):
     for X in descriptors:
         for Y in descriptors:
             assert ordered_gr_hom(cov, X, Y) == _ref_ordered_gr_hom(cov, X, Y)
+
+
+@pytest.mark.parametrize("name,cov", COVERS)
+def test_adjunction_check_pi_matches_reference(name, cov):
+    assert adjunction_check_pi(cov, diagnostic=True) == _ref_adjunction_check_pi(cov)
 
 
 # -- pieces are built once -------------------------------------------------
