@@ -49,7 +49,6 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "fixtures"}
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
@@ -61,10 +60,10 @@ def __getattr__(name: str):
         value = getattr(import_module(f".{mod}", __name__), name)
         globals()[name] = value  # later lookups skip this hook
         return value
-    if name in _SUBMODULES:
+    if name in _EXPORTS:
         return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _MODULE_OF.keys() | _SUBMODULES)
+    return sorted(set(globals()) | _MODULE_OF.keys() | _EXPORTS.keys())

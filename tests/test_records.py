@@ -74,9 +74,3 @@ def test_record_methods():
     assert cx.basis_dims == (2, 1)
     assert SimplexChain(1, "x", ("f",)).end(FinCategory.build("A", ["x", "y"], [("f", "x", "y")])) == "y"
     assert EulerResult(None, None, None).reason == ""
-
-
-def test_equal_records_hash_alike():
-    assert Mor("f", "x", "y") == Mor("f", "x", "y")
-    assert hash(SimplexChain(1, "x", ("f",))) == hash(SimplexChain(1, "x", ("f",)))
-    assert len({Mor("f", "x", "y"), Mor("f", "x", "y"), Mor("g", "x", "y")}) == 2
