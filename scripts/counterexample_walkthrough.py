@@ -54,13 +54,13 @@ def main() -> None:
     for label in cover.index_order:
         part = cover.parts[label]
         cls = classify_subcategory(part)
-        chi = euler_characteristic(part.as_category()).chi
+        chi = euler_characteristic(part).chi
         print(f"part {label}: objects {{{', '.join(part.objects)}}}"
               f"  ideal={cls.is_ideal} filter={cls.is_filter}"
               f"  chi={format_rational(chi)}")
     both = cover.piece(cover.index_order)
     print(f"intersection: objects {{{', '.join(both.objects)}}}"
-          f"  chi={format_rational(euler_characteristic(both.as_category()).chi)}")
+          f"  chi={format_rational(euler_characteristic(both).chi)}")
 
     section("inclusion-exclusion")
     for labels, chi in inclusion_exclusion_terms(cover):

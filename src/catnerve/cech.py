@@ -1,11 +1,12 @@
 """Cech nerve levels of a cover and their simplicial structure maps.
 
 A level-n piece is the intersection of the parts named by an
-(n+1)-tuple of labels.  Tuple discipline comes in three variants:
-``ordinary`` (arbitrary tuples), ``ordered`` (weakly increasing in the
-cover's label order) and ``reduced`` (strictly increasing).  Structure
-maps are induced by order-preserving maps between finite ordinals and
-are always inclusions of intersections.
+(n+1)-tuple of labels, a ``Subcategory`` and so a category itself.
+Tuple discipline comes in three variants: ``ordinary`` (arbitrary
+tuples), ``ordered`` (weakly increasing in the cover's label order) and
+``reduced`` (strictly increasing).  Structure maps are induced by
+order-preserving maps between finite ordinals and are always
+inclusions of intersections, functors between the pieces themselves.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def induced_functor(cover: Cover, phi: Sequence[int], t: IndexTuple) -> FunctorM
 
     Relabelling a tuple along phi only ever drops or repeats labels, so
     the source intersection sits inside the target intersection and the
-    functor is the inclusion.
+    functor is the inclusion.  Its source and target are the cover's
+    own pieces, not copies.
     """
     check_tuple(cover, t)
     n = len(t.labels) - 1
@@ -143,14 +145,9 @@ def induced_functor(cover: Cover, phi: Sequence[int], t: IndexTuple) -> FunctorM
     if t.variant == "reduced" and any(a >= b for a, b in zip(phi, phi[1:])):
         raise ValueError("reduced-variant structure maps must be injective")
     target_labels = tuple(t.labels[p] for p in phi)
-    src = level_piece(cover, t).category.as_category()
-    tgt = level_piece(cover, IndexTuple(target_labels, t.variant)).category.as_category()
-    return FunctorMap(
-        src,
-        tgt,
-        {x: x for x in src.objects},
-        {m.name: m.name for m in src.morphisms},
-    )
+    src = level_piece(cover, t).category
+    tgt = level_piece(cover, IndexTuple(target_labels, t.variant)).category
+    return identity_functor(src)._replace(target=tgt)
 
 
 def face_functor(cover: Cover, t: IndexTuple, i: int) -> FunctorMap:
@@ -210,7 +207,7 @@ def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordi
                     checked += 1
                     lhs, tl = run(t, delta_degeneracy(j, n), delta_face(i, n + 1))
                     if i in (j, j + 1):
-                        piece = level_piece(cover, t).category.as_category()
+                        piece = level_piece(cover, t).category
                         if lhs != identity_functor(piece) or tl != t.labels:
                             v.append(Violation("simplicial-ds", labels + (str(i), str(j)),
                                                f"d_{i} s_{j} != id at {labels}"))

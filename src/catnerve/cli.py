@@ -212,7 +212,7 @@ def incl_excl(cat_file: str, cover_file: str) -> None:
 
 @main.command()
 @click.argument("cat_file")
-@click.option("--max-dim", type=int, default=None, help="truncate the nerve at this dimension")
+@click.option("--max-dim", type=click.IntRange(min=0), default=None, help="truncate the nerve at this dimension")
 def homology(cat_file: str, max_dim) -> None:
     """Betti numbers of the nerve over the rationals."""
     from .euler import format_rational
@@ -230,7 +230,7 @@ def homology(cat_file: str, max_dim) -> None:
 @main.command("nerve-compare")
 @click.argument("cat_file")
 @click.argument("cover_file")
-@click.option("--max-dim", type=int, default=None, help="truncate both nerves at this dimension")
+@click.option("--max-dim", type=click.IntRange(min=0), default=None, help="truncate both nerves at this dimension")
 def nerve_compare(cat_file: str, cover_file: str, max_dim) -> None:
     """Betti numbers of the category against its reduced-nerve total category."""
     from .grothendieck import ReducedGrothendieck
@@ -261,7 +261,8 @@ def nerve_compare(cat_file: str, cover_file: str, max_dim) -> None:
 @click.argument("cover_file")
 @click.option("--diagnostic", is_flag=True, help="force the hom-count comparison on non-ideal covers")
 @click.option("--ordered", "ordered_side", is_flag=True, help="check the ordered-to-reduced comparison instead")
-@click.option("--max-len", type=int, default=3, show_default=True, help="tuple length bound for --ordered")
+@click.option("--max-len", type=click.IntRange(min=1), default=3, show_default=True,
+              help="tuple length bound for --ordered")
 def adjunction(cat_file: str, cover_file: str, diagnostic: bool, ordered_side: bool, max_len: int) -> None:
     """Hom-set counting checks for the comparison functors."""
     from .grothendieck import adjunction_check_pi, adjunction_check_R

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .fincat import FinCategory, FunctorMap, Mor
+from .fincat import FinCategory, FunctorMap
 
 
 class Classification(NamedTuple):
@@ -12,14 +13,21 @@ class Classification(NamedTuple):
     is_filter: bool
 
 
-class Subcategory:
-    """A subcategory of ``parent`` stored as object/morphism id subsets.
+class Subcategory(FinCategory):
+    """A subcategory of ``parent``, itself a ``FinCategory``.
 
-    Validity is enforced at construction: identities of every object are
-    present, endpoints of every morphism are present, and the set is
-    closed under the parent's composition.  Only ``intersect`` skips the
-    check, since an intersection of subcategories is one.  Instances are
-    not mutated after construction.
+    Objects and morphisms are the parent's, kept in the parent's
+    declaration order, and the name is ``parent[x,y,...]``.  The lookup
+    indices are built at construction; the restricted composition table
+    ``comp`` is built on first read (``compose``, validation, emission
+    and structural equality read it).
+
+    Validity is enforced at construction: identities of every object
+    are present, endpoints of every morphism are present, and the set is
+    closed under the parent's composition.  ``intersect`` and
+    ``union_closure`` skip the check, since their results are
+    subcategories by construction.  Instances are not mutated after
+    construction.
     """
 
     def __init__(self, parent: FinCategory, objects: Iterable[str], morphisms: Iterable[str]):
@@ -32,24 +40,24 @@ class Subcategory:
             if not parent.has_morphism(f):
                 raise ValueError(f"unknown morphism id: {f!r}")
         self._adopt(parent, objset, morset)
-        for x in self.objects:
-            if parent.identity_name(x) not in self._morset:
+        for x, i in self.identity.items():
+            if i not in self._mors:
                 raise ValueError(f"subcategory misses identity of {x!r}")
-        for f in self.morphisms:
-            m = parent.mor(f)
+        for m in self.morphisms:
             if m.dom not in self._objset or m.cod not in self._objset:
-                raise ValueError(f"morphism {f!r} has an endpoint outside the subcategory")
+                raise ValueError(f"morphism {m.name!r} has an endpoint outside the subcategory")
         for (g, f), h in parent.comp.items():
-            if g in self._morset and f in self._morset and h not in self._morset:
+            if g in self._mors and f in self._mors and h not in self._mors:
                 raise ValueError(f"subcategory not closed under composition: ({g}, {f}) = {h}")
 
     def _adopt(self, parent: FinCategory, objset: set[str], morset: set[str]) -> None:
         self.parent = parent
         # canonical order: parent declaration order
         self.objects = tuple(x for x in parent.objects if x in objset)
-        self.morphisms = tuple(m.name for m in parent.morphisms if m.name in morset)
-        self._objset = frozenset(self.objects)
-        self._morset = frozenset(self.morphisms)
+        self.morphisms = tuple(m for m in parent.morphisms if m.name in morset)
+        self.identity = {x: parent.identity_name(x) for x in self.objects}
+        self.name = f"{parent.name}[{','.join(self.objects)}]"
+        self._index()
 
     @classmethod
     def _unchecked(cls, parent: FinCategory, objset: set[str], morset: set[str]) -> "Subcategory":
@@ -58,56 +66,33 @@ class Subcategory:
         sub._adopt(parent, objset, morset)
         return sub
 
-    def has_object(self, x: str) -> bool:
-        return x in self._objset
-
-    def has_morphism(self, f: str) -> bool:
-        return f in self._morset
-
-    def hom_set(self, x: str, y: str) -> list[str]:
-        """Morphisms x -> y of the subcategory: the parent's hom-set,
-        filtered by the morphism set, in declaration order.
-
-        Equals ``as_category().hom_set(x, y)`` without building the
-        restricted table.
-        """
-        for obj in (x, y):
-            if obj not in self._objset:
-                raise ValueError(f"unknown object id: {obj!r}")
-        return [f for f in self.parent._hom.get((x, y), ()) if f in self._morset]
+    @cached_property
+    def comp(self) -> dict[tuple[str, str], str]:
+        """The parent's table on pairs of member morphisms, in the parent's order."""
+        mors = self._mors
+        return {(g, f): h for (g, f), h in self.parent.comp.items() if g in mors and f in mors}
 
     @property
     def full(self) -> bool:
         for m in self.parent.morphisms:
-            if m.dom in self._objset and m.cod in self._objset and m.name not in self._morset:
+            if m.dom in self._objset and m.cod in self._objset and m.name not in self._mors:
                 return False
         return True
 
-    def as_category(self, name: str | None = None) -> FinCategory:
-        """The subcategory as a standalone category (restricted table)."""
-        parent = self.parent
-        if name is None:
-            name = f"{parent.name}[{','.join(self.objects)}]"
-        comp = {
-            (g, f): h
-            for (g, f), h in parent.comp.items()
-            if g in self._morset and f in self._morset
-        }
-        return FinCategory(
-            name,
-            self.objects,
-            [parent.mor(f) for f in self.morphisms],
-            {x: parent.identity_name(x) for x in self.objects},
-            comp,
-        )
+    def as_category(self) -> "Subcategory":
+        """The subcategory itself: it already is a category."""
+        return self
 
     def __eq__(self, other) -> bool:
+        """Same parent and same id sets; agrees with structural equality
+        for subcategories of one parent.  Any other category is compared
+        structurally."""
         if not isinstance(other, Subcategory):
             return NotImplemented
         return (
             self.parent == other.parent
             and self._objset == other._objset
-            and self._morset == other._morset
+            and self._mors.keys() == other._mors.keys()
         )
 
     __hash__ = None
@@ -143,10 +128,10 @@ def intersect(parts: Sequence[Subcategory]) -> Subcategory:
         if p.parent != parent:
             raise ValueError("parts have mismatched parents")
     objs = set(parts[0].objects)
-    mors = set(parts[0].morphisms)
+    mors = set(parts[0]._mors)
     for p in parts[1:]:
         objs &= p._objset
-        mors &= p._morset
+        mors &= p._mors.keys()
     return Subcategory._unchecked(parent, objs, mors)
 
 
@@ -154,7 +139,9 @@ def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
     """Smallest subcategory containing every part.
 
     Morphisms are generated by closing the union under the parent's
-    composition (finite chains of composable part morphisms).
+    composition (finite chains of composable part morphisms).  The
+    result needs no check: identities and endpoints come from the
+    parts, and the loop closes it under composition.
     """
     if not parts:
         raise ValueError("union_closure needs at least one part")
@@ -166,7 +153,7 @@ def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
     mors = set()
     for p in parts:
         objs |= p._objset
-        mors |= p._morset
+        mors |= p._mors.keys()
     changed = True
     while changed:
         changed = False
@@ -174,7 +161,7 @@ def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
             if g in mors and f in mors and h not in mors:
                 mors.add(h)
                 changed = True
-    return Subcategory(parent, objs, mors)
+    return Subcategory._unchecked(parent, objs, mors)
 
 
 class Cover:
@@ -250,10 +237,7 @@ class Cover:
 def is_cover(cover: Cover) -> bool:
     """True iff the union-closure of the parts is the whole parent."""
     u = union_closure(list(cover.parts.values()))
-    return (
-        u._objset == frozenset(cover.parent.objects)
-        and u._morset == frozenset(m.name for m in cover.parent.morphisms)
-    )
+    return u.objects == cover.parent.objects and u.morphisms == cover.parent.morphisms
 
 
 def classify_subcategory(sub: Subcategory) -> Classification:
@@ -355,4 +339,4 @@ def filter_closure(cat: FinCategory, objects: Iterable[str]) -> Subcategory:
 
 def opposite_subcategory(sub: Subcategory) -> Subcategory:
     """The same id sets viewed inside the opposite parent."""
-    return Subcategory(sub.parent.opposite(), sub.objects, sub.morphisms)
+    return Subcategory(sub.parent.opposite(), sub.objects, sub._mors)

@@ -211,11 +211,11 @@ def inclusion_exclusion_terms(
 
     Empty intersections are kept (their chi is 0), so the alternating
     sum below matches the literal formula term by term.  The pieces are
-    the cover's own (``Cover.piece``); only their standalone category
-    views are built here, one at a time.
+    the cover's own (``Cover.piece``), each a category in its own right,
+    so no category is copied here.
     """
     return [
-        (labels, euler_characteristic(cover.piece(labels).as_category()).chi)
+        (labels, euler_characteristic(cover.piece(labels)).chi)
         for n in range(len(cover.index_order))
         for labels in combinations(cover.index_order, n + 1)
     ]
@@ -262,7 +262,7 @@ def two_set_formula(a: Subcategory, b: Subcategory) -> ValidationReport:
         ))
     values = {}
     for label, sub in (("A", a), ("B", b), ("AnB", intersect([a, b])), ("AuB", union_closure([a, b]))):
-        chi = euler_characteristic(sub.as_category()).chi
+        chi = euler_characteristic(sub).chi
         values[label] = chi
         details.append(f"chi({label}) = {'undefined' if chi is None else chi}")
         if chi is None:

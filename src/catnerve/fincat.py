@@ -70,6 +70,10 @@ class FinCategory:
         self.morphisms = tuple(_as_mor(m) for m in morphisms)
         self.identity = dict(identity)
         self.comp = dict(comp)
+        self._index()
+
+    def _index(self) -> None:
+        """Lookup tables over ``objects``, ``morphisms`` and ``identity``."""
         self._mors = {m.name: m for m in self.morphisms}
         self._objset = frozenset(self.objects)
         self._idnames = frozenset(self.identity.values())

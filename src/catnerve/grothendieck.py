@@ -62,8 +62,8 @@ class ReducedGrothendieck:
     """Total category of the reduced nerve, with its comparison functors.
 
     ``piece[t]`` is the cover's intersection for the tuple ``t``
-    (``Cover.piece``), a ``Subcategory`` of the parent; hom-sets are read
-    from it without building a standalone category per piece.
+    (``Cover.piece``), a ``Subcategory`` of the parent and a category in
+    its own right.
     """
 
     def __init__(self, cover: Cover, *, require_cover: bool = True):
@@ -103,7 +103,7 @@ class ReducedGrothendieck:
             # forced, as both tuples are strictly increasing
             for phi in (p for n in range(len(s)) for p in combinations(range(len(s)), n + 1)):
                 t = tuple(s[i] for i in phi)
-                in_t = self.piece[t]._morset
+                in_t = self.piece[t]._mors
                 tgt_of = fiber_of[t]
                 for src in fibers[s]:
                     x = src.obj
@@ -277,8 +277,11 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
 
     For every reduced object Z and every ordered descriptor Y with tuple
     length <= max_len, the reduced hom-set at (Z, reduce(Y)) must be in
-    bijection with the ordered hom-set at (Z, Y).
+    bijection with the ordered hom-set at (Z, Y).  Raises ValueError when
+    ``max_len`` is below 1, as no descriptor would be checked.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     rg = ReducedGrothendieck(cover)
     descriptors = []
     for length in range(1, max_len + 1):

@@ -151,7 +151,10 @@ def betti_numbers(cat: FinCategory, max_dim: Optional[int] = None) -> HomologyRe
 
     With ``max_dim`` set, chains are enumerated one level past it so
     every reported number is the true Betti number of that dimension.
+    Raises ValueError when ``max_dim`` is negative.
     """
+    if max_dim is not None and max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
     cut = None if max_dim is None else max_dim + 1
     cx = chain_complex(cat, cut)
     levels, bnds = cx.levels, cx.boundaries
@@ -188,7 +191,8 @@ def compare_homology(
 
     A mismatch certifies the nerves are not weakly equivalent; a match
     is only consistent with equivalence.  Without ``max_dim`` both
-    categories must be acyclic and the comparison is over all dimensions.
+    categories must be acyclic and the comparison is over all dimensions;
+    a negative ``max_dim`` raises ValueError.
     """
     a = betti_numbers(left, max_dim)
     b = betti_numbers(right, max_dim)

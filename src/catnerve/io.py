@@ -213,7 +213,7 @@ def emit_cover(cover: Cover) -> str:
         if part.full:
             lines.append(f"part {label} : " + " ".join(part.objects))
         else:
-            nonid = [f for f in part.morphisms if not cover.parent.is_identity(f)]
+            nonid = [m.name for m in part.non_identities()]
             lines.append(
                 (f"part {label} : objects " + " ".join(part.objects)
                  + " ; morphisms " + " ".join(nonid)).rstrip()

@@ -21,7 +21,7 @@ from catnerve.covers import (
     union_closure,
     whole_subcategory,
 )
-from catnerve.fincat import validate_category, validate_functor
+from catnerve.fincat import FinCategory, validate_category, validate_functor
 from catnerve import fixtures as fx
 
 
@@ -46,8 +46,9 @@ def test_full_subcategory_and_as_category():
     d1 = full_subcategory(c, ["x", "y"])
     assert d1.full
     assert d1.objects == ("x", "y")
-    assert set(d1.morphisms) == {"id_x", "id_y", "f", "g"}
+    assert {m.name for m in d1.morphisms} == {"id_x", "id_y", "f", "g"}
     cat = d1.as_category()
+    assert cat is d1 and isinstance(cat, FinCategory)
     assert cat.name == "C[x,y]"
     assert validate_category(cat).ok
     assert cat.hom_set("x", "y") == ["f", "g"]
@@ -74,7 +75,7 @@ def test_intersect_and_union_closure():
     d1 = full_subcategory(c, ["x", "y"])
     d2 = full_subcategory(c, ["y", "z"])
     both = intersect([d1, d2])
-    assert both.objects == ("y",) and both.morphisms == ("id_y",)
+    assert both.objects == ("y",) and tuple(m.name for m in both.morphisms) == ("id_y",)
     u = union_closure([d1, d2])
     # closure must add k = h o f even though neither part contains it
     assert u.has_morphism("k")
@@ -111,7 +112,7 @@ def test_union_of_parts_without_closure_is_detected():
     u = union_closure([d1, d2])
     assert u.has_morphism("k")
     # but the raw union (no closure) would not contain k
-    raw = set(d1.morphisms) | set(d2.morphisms)
+    raw = {m.name for m in d1.morphisms} | {m.name for m in d2.morphisms}
     assert "k" not in raw
 
 

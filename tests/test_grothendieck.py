@@ -151,6 +151,14 @@ def test_adjunction_R_on_fixtures(name, cov):
     assert rep.ok, (name, rep.messages()[:3])
 
 
+def test_adjunction_R_rejects_max_len_below_1():
+    cov = fx.poset_v_ideal_cover()
+    for max_len in (0, -2):
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            adjunction_check_R(cov, max_len=max_len)
+    assert adjunction_check_R(cov, max_len=1).ok
+
+
 def test_reorder_iso_counterexample():
     cov = fx.counterexample_cover()
     F, G = reorder_iso(cov, ["2", "1"])

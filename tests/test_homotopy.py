@@ -112,6 +112,18 @@ def test_betti_truncation():
     assert not rep2.truncated
 
 
+def test_negative_max_dim_is_rejected():
+    chain = fx.chain_poset(4)
+    for max_dim in (-1, -3):
+        with pytest.raises(ValueError, match="max_dim must be >= 0"):
+            betti_numbers(chain, max_dim)
+        with pytest.raises(ValueError, match="max_dim must be >= 0"):
+            compare_homology(chain, chain, max_dim)
+    rep = betti_numbers(chain, 0)
+    assert rep.betti == (1,) and rep.basis_dims == (4,) and rep.truncated
+    assert compare_homology(chain, chain, 0).equal
+
+
 def test_compare_homology_counterexample_vs_gr():
     c = fx.counterexample_category()
     g = ReducedGrothendieck(fx.counterexample_cover())

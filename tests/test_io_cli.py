@@ -1,5 +1,8 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,7 +105,7 @@ def test_cover_long_form_parts():
         "cover W of C\npart 1 : objects x y ; morphisms\npart 2 : x y z\n", cat
     )
     assert not cov.parts["1"].full
-    assert cov.parts["1"].morphisms == ("id_x", "id_y")
+    assert tuple(m.name for m in cov.parts["1"].morphisms) == ("id_x", "id_y")
     # identities are implied, listed morphisms are added
     cov2 = parse_cover(
         "cover W of C\npart 1 : objects x y ; morphisms f g\npart 2 : x y z\n", cat
@@ -242,6 +245,48 @@ def test_cli_usage_error_is_exit_2(files):
     cat, cov = files
     assert run("cech", cat, cov).exit_code == 2  # --level is required
     assert run("no-such-command").exit_code == 2
+
+
+BAD_BOUNDS = [
+    (("homology", "{cat}", "--max-dim", "-3"), "--max-dim"),
+    (("homology", "{cat}", "--max-dim", "-1"), "--max-dim"),
+    (("nerve-compare", "{cat}", "{cov}", "--max-dim", "-1"), "--max-dim"),
+    (("adjunction", "{cat}", "{cov}", "--ordered", "--max-len", "0"), "--max-len"),
+]
+
+
+@pytest.mark.parametrize("argv,option", BAD_BOUNDS)
+def test_cli_bad_bounds_are_usage_errors(files, argv, option):
+    cat, cov = files
+    res = run(*(a.format(cat=cat, cov=cov) for a in argv))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert f"Invalid value for '{option}'" in res.stderr
+
+
+def test_cli_smallest_bounds_are_accepted(files):
+    cat, cov = files
+    res = run("homology", cat, "--max-dim", "0")
+    assert res.exit_code == 0
+    assert res.output.startswith("dim\tbasis\tbetti\n0\t3\t1\n")
+    assert run("nerve-compare", cat, cov, "--max-dim", "0").exit_code == 0
+    res = run("adjunction", cat, cov, "--ordered", "--max-len", "1")
+    assert res.exit_code == 0 and res.output.endswith("adjunction holds\n")
+
+
+@pytest.mark.parametrize("argv,option", BAD_BOUNDS)
+def test_cli_bad_bounds_print_no_traceback(argv, option):
+    root = Path(__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(root / "src") + (os.pathsep + path if path else ""))
+    args = [a.format(cat="fixtures/chain4.fincat", cov="fixtures/chain4_ideal.cover") for a in argv]
+    p = subprocess.run([sys.executable, "-m", "catnerve.cli", *args], cwd=root, env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert "Traceback" not in p.stderr
+    assert f"Invalid value for '{option}'" in p.stderr
 
 
 def test_cli_euler(files):

@@ -3,7 +3,8 @@ exactly the pieces it built for itself before.
 
 The references below build each piece with its own validated
 intersection and a standalone category per piece, as the consumers did
-before ``Cover.piece`` and ``Subcategory.hom_set`` existed.
+before ``Cover.piece`` existed and before a ``Subcategory`` was itself a
+``FinCategory``.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 from catnerve import cech, covers, fixtures as fx
 from catnerve.covers import Cover, Subcategory, classify_subcategory, ideal_closure, is_cover
 from catnerve.euler import euler_characteristic, inclusion_exclusion_sum, inclusion_exclusion_terms
-from catnerve.fincat import FinCategory, ValidationReport, Violation
+from catnerve.fincat import FinCategory, ValidationReport, Violation, validate_category
 from catnerve.grothendieck import (
     OrderedGrObjectDescriptor,
     ReducedGrothendieck,
@@ -29,15 +30,56 @@ from catnerve.io import emit_category
 
 # -- references ------------------------------------------------------------
 
+def _names(sub):
+    return {m.name for m in sub.morphisms}
+
+
 def _ref_intersect(parts):
     """Intersection through the validating constructor."""
     parent = parts[0].parent
     objs = set(parts[0].objects)
-    mors = set(parts[0].morphisms)
+    mors = _names(parts[0])
     for p in parts[1:]:
         objs &= set(p.objects)
-        mors &= set(p.morphisms)
+        mors &= _names(p)
     return Subcategory(parent, objs, mors)
+
+
+def _ref_union_closure(parts):
+    """Union closed under composition, through the validating constructor."""
+    parent = parts[0].parent
+    objs = set().union(*(p.objects for p in parts))
+    mors = set().union(*(_names(p) for p in parts))
+    changed = True
+    while changed:
+        changed = False
+        for (g, f), h in parent.comp.items():
+            if g in mors and f in mors and h not in mors:
+                mors.add(h)
+                changed = True
+    return Subcategory(parent, objs, mors)
+
+
+def _ref_as_category(sub):
+    """A standalone copy of a subcategory, built from its parent and its
+    id sets alone: the restricted table comes from a scan of the
+    parent's whole table."""
+    parent = sub.parent
+    objset, morset = set(sub.objects), _names(sub)
+    objects = tuple(x for x in parent.objects if x in objset)
+    names = tuple(m.name for m in parent.morphisms if m.name in morset)
+    comp = {
+        (g, f): h
+        for (g, f), h in parent.comp.items()
+        if g in morset and f in morset
+    }
+    return FinCategory(
+        f"{parent.name}[{','.join(objects)}]",
+        objects,
+        [parent.mor(f) for f in names],
+        {x: parent.identity_name(x) for x in objects},
+        comp,
+    )
 
 
 def _ref_piece(cover, labels):
@@ -57,7 +99,7 @@ class _ReferenceGr:
         parent = cover.parent
         order = cover.index_order
         self.tuples = [t for n in range(len(order)) for t in combinations(order, n + 1)]
-        self.piece = {t: _ref_piece(cover, t).as_category() for t in self.tuples}
+        self.piece = {t: _ref_as_category(_ref_piece(cover, t)) for t in self.tuples}
         self.objects = [(t, x, _gr_name(t, x)) for t in self.tuples for x in self.piece[t].objects]
         self.morphisms = []  # (phi, component, source name, target name, name)
         self._by_key = {}
@@ -107,8 +149,8 @@ class _ReferenceGr:
 
 
 def _ref_ordered_gr_hom(cover, X, Y):
-    xp = _ref_piece(cover, X.labels).as_category()
-    yp = _ref_piece(cover, Y.labels).as_category()
+    xp = _ref_as_category(_ref_piece(cover, X.labels))
+    yp = _ref_as_category(_ref_piece(cover, Y.labels))
     for d, p in ((X, xp), (Y, yp)):
         pos = [cover.position(a) for a in d.labels]
         if any(a > b for a, b in zip(pos, pos[1:])) or not p.has_object(d.obj):
@@ -210,14 +252,24 @@ def test_random_covers_are_varied():
 
 @pytest.mark.parametrize("name,cov", COVERS)
 def test_pieces_and_hom_sets_match_reference(name, cov):
+    # each piece is the category a standalone copy would be, field by field
     for n in range(len(cov.index_order)):
         for labels in combinations(cov.index_order, n + 1):
             got, ref = cov.piece(labels), _ref_piece(cov, labels)
+            assert isinstance(got, FinCategory)
             assert (got.objects, got.morphisms) == (ref.objects, ref.morphisms)
-            view = ref.as_category()
+            view = _ref_as_category(ref)
+            assert got.name == view.name
+            assert (got.objects, got.morphisms) == (view.objects, view.morphisms)
+            assert list(got.identity.items()) == list(view.identity.items())
+            assert list(got.comp.items()) == list(view.comp.items())
+            assert list(got._hom.items()) == list(view._hom.items())
             for x in got.objects:
                 for y in got.objects:
                     assert got.hom_set(x, y) == view.hom_set(x, y)
+            assert emit_category(got) == emit_category(view)
+            assert validate_category(got).ok == validate_category(view).ok
+            assert got == view and view == got
 
 
 @pytest.mark.parametrize("name,cov", COVERS)
@@ -226,7 +278,7 @@ def test_reduced_grothendieck_matches_reference(name, cov):
     ref = _ReferenceGr(cov)
     assert g.tuples == ref.tuples
     assert all(isinstance(g.piece[t], Subcategory) for t in g.tuples)
-    assert {t: p.as_category() for t, p in g.piece.items()} == ref.piece
+    assert g.piece == ref.piece
     assert [(o.labels, o.obj, o.name) for o in g.objects] == ref.objects
     assert [(m.phi, m.component, m.source.name, m.target.name, m.name)
             for m in g.morphisms] == ref.morphisms
@@ -257,7 +309,7 @@ def test_cech_levels_match_reference(name, cov):
 def test_inclusion_exclusion_matches_reference(name, cov):
     terms = inclusion_exclusion_terms(cov)
     expected = [
-        (labels, euler_characteristic(_ref_intersect([cov.parts[a] for a in labels]).as_category()).chi)
+        (labels, euler_characteristic(_ref_as_category(_ref_intersect([cov.parts[a] for a in labels]))).chi)
         for n in range(len(cov.index_order))
         for labels in combinations(cov.index_order, n + 1)
     ]
@@ -323,6 +375,29 @@ def test_each_piece_is_built_once(monkeypatch):
     assert len(calls) == len({frozenset(id(p) for p in c) for c in calls})
 
 
+def _count_category_inits(monkeypatch):
+    calls = []
+    real = FinCategory.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinCategory, "__init__", counting)
+    return calls
+
+
+def test_no_category_is_copied(monkeypatch):
+    cex = fx.counterexample_cover()
+    fixture_cover = dict(fx.all_cover_fixtures())["fork_ideals"]
+    calls = _count_category_inits(monkeypatch)
+    assert cech.check_simplicial_identities(cex, 2, "ordinary").ok
+    assert calls == []
+    terms = inclusion_exclusion_terms(fixture_cover)
+    assert len(terms) == 2 ** len(fixture_cover.index_order) - 1
+    assert calls == []
+
+
 def test_piece_is_keyed_by_label_set():
     cov = fx.counterexample_cover()
     both = cov.piece(("1", "2"))
@@ -360,12 +435,18 @@ def test_subcategory_hom_set():
 
 
 def test_intersection_of_subcategories_is_valid():
-    # intersect builds its result without re-running the closure check
+    # intersect and union_closure build their results without re-running
+    # the closure check
     rng = random.Random(5)
     for _ in range(40):
         cat = fx.random_dag_category(rng, rng.randint(3, 6))
         cov = _random_nonfull_cover(rng, cat)
         for n in range(len(cov.index_order)):
             for labels in combinations(cov.index_order, n + 1):
-                got = covers.intersect([cov.parts[a] for a in labels])
-                assert got == _ref_intersect([cov.parts[a] for a in labels])
+                parts = [cov.parts[a] for a in labels]
+                got = covers.intersect(parts)
+                assert got == _ref_intersect(parts)
+                got = covers.union_closure(parts)
+                ref = _ref_union_closure(parts)
+                assert got == ref
+                assert (got.objects, got.morphisms) == (ref.objects, ref.morphisms)
