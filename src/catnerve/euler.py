@@ -8,12 +8,14 @@ of either.
 Matrices are sparse: a list of ``dict[int, int]`` rows mapping a column
 index to a nonzero integer entry.  One elimination serves ``rank`` and
 ``solve_right``; ``fractions.Fraction`` appears only inside it and in
-the solutions.  When every object has exactly one endomorphism and the
-other arrows form no directed cycle (in particular for every validated
-acyclic category), the similarity matrix is unitriangular in a
-topological order of the objects: both vectors are then integral and
-found by substitution in Python ints, without elimination, and only the
-returned entries are Fractions.  Nothing here is floating point.
+the solutions.  When the arrows between distinct objects form no
+directed cycle (in particular for every validated acyclic category, and
+for ``P x Z/m`` over a poset ``P``), the similarity matrix is upper
+triangular in a topological order of the objects, with the nonzero
+diagonal ``|End(x)|``: both vectors are then found by substitution,
+without elimination.  They stay Python ints while every diagonal entry
+met is 1 and only the returned entries are Fractions.  Nothing here is
+floating point.
 """
 
 from __future__ import annotations
@@ -114,17 +116,18 @@ def _transpose(m: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, int
     return out
 
 
-def _unitriangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
-    """An order of the objects in which the square ``z`` is upper unitriangular.
+def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
+    """An order of the objects in which the square ``z`` is upper triangular
+    with a nonzero diagonal.
 
-    That needs every diagonal entry to be 1 and the off-diagonal support
-    to have no directed cycle; Kahn's algorithm finds the order or
-    leaves some object out, and then there is none.
+    That needs every diagonal entry to be nonzero and the off-diagonal
+    support to have no directed cycle; Kahn's algorithm finds the order
+    or leaves some object out, and then there is none.
     """
     n = len(z)
     indegree = [0] * n
     for i, row in enumerate(z):
-        if row.get(i) != 1:
+        if not row.get(i):
             return None
         for j in row:
             if j != i:
@@ -142,10 +145,13 @@ def _unitriangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
 def _solve(
     z: Sequence[Mapping[int, int]], order: Optional[list[int]], side: str, free_value: Fraction
 ) -> Optional[tuple]:
-    """Weighting or coweighting for zeta ``z``; ``order`` from ``_unitriangular_order``.
+    """Weighting or coweighting for zeta ``z``; ``order`` from ``_triangular_order``.
 
-    The entries are Python ints when ``order`` is given (the callers
-    wrap them) and Fractions, or None, from the elimination otherwise.
+    With ``order`` the system is triangular and solved by substitution,
+    dividing by the diagonal entry ``z_ii = |End(i)|``; the entries are
+    Python ints while every divisor is 1 and Fractions after (the
+    callers wrap them).  Without it they are Fractions, or None, from
+    the elimination.
     """
     n = len(z)
     if order is None:
@@ -153,13 +159,16 @@ def _solve(
             z = _transpose(z, n)
         return solve_right(z, n, [ONE] * n, free_value)
     x = [1] * n
-    if side == "weight":  # w_i = 1 - sum_{j after i} z_ij w_j
+    if side == "weight":  # w_i = (1 - sum_{j after i} z_ij w_j) / z_ii
         for i in reversed(order):
-            x[i] = 1 - sum(v * x[j] for j, v in z[i].items() if j != i)
-    else:  # v_j = 1 - sum_{i before j} v_i z_ij, pushed along row i once v_i is final
+            row = z[i]
+            s = 1 - sum(v * x[j] for j, v in row.items() if j != i)
+            x[i] = s if row[i] == 1 else Fraction(s, row[i])
+    else:  # v_j = (1 - sum_{i before j} v_i z_ij) / z_jj, pushed along row i once v_i is final
         for i in order:
-            vi = x[i]
-            for j, v in z[i].items():
+            row = z[i]
+            vi = x[i] = x[i] if row[i] == 1 else Fraction(x[i], row[i])
+            for j, v in row.items():
                 if j != i:
                     x[j] -= vi * v
     return tuple(x)
@@ -172,7 +181,7 @@ def solve_weighting(
     if side not in ("weight", "coweight"):
         raise ValueError(f"side must be 'weight' or 'coweight', got {side!r}")
     z = zeta_matrix(cat)
-    order = _unitriangular_order(z)
+    order = _triangular_order(z)
     x = _solve(z, order, side, free_value)
     return x if order is None else tuple(map(Fraction, x))
 
@@ -193,7 +202,7 @@ def euler_characteristic(cat: FinCategory) -> EulerResult:
     weighting is summed as ints and wrapped once.
     """
     z = zeta_matrix(cat)
-    order = _unitriangular_order(z)
+    order = _triangular_order(z)
     w = _solve(z, order, "weight", ZERO)
     v = _solve(z, order, "coweight", ZERO)
     if w is None or v is None:  # only the elimination finds no solution

@@ -11,8 +11,6 @@ composite inside the target intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple, Sequence
 
@@ -20,35 +18,53 @@ from .covers import Cover, Subcategory, classify_subcategory, is_cover
 from .fincat import FinCategory, FunctorMap, ValidationReport, Violation
 
 
-@dataclass(frozen=True)
-class GrObject:
-    """A fiber object sitting over a strictly increasing label tuple."""
-
+class _GrObjectFields(NamedTuple):
     labels: tuple[str, ...]
     obj: str
-
-    @cached_property
-    def name(self) -> str:
-        return f"{self.obj}@{','.join(self.labels)}"
+    name: str
 
 
-@dataclass(frozen=True)
-class GrMorphism:
-    """An index injection plus a component in the target intersection.
+class GrObject(_GrObjectFields):
+    """A fiber object sitting over a strictly increasing label tuple.
 
-    ``phi[j]`` is the position in the source tuple carrying the j-th
-    target label; the component runs between the underlying objects
-    inside the target tuple's intersection.
+    ``GrObject(labels, obj)``; its ``name`` ``obj@a0,a1,...`` is
+    computed once, at construction.
     """
 
+    __slots__ = ()
+
+    def __new__(cls, labels: tuple[str, ...], obj: str) -> "GrObject":
+        return tuple.__new__(cls, (labels, obj, f"{obj}@{','.join(labels)}"))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle pass the constructor's arguments
+        return self[:2]
+
+
+class _GrMorphismFields(NamedTuple):
     phi: tuple[int, ...]
     component: str
     source: GrObject
     target: GrObject
+    name: str
 
-    @cached_property
-    def name(self) -> str:
-        return f"{self.component}|{self.source.name}=>{self.target.name}"
+
+class GrMorphism(_GrMorphismFields):
+    """An index injection plus a component in the target intersection.
+
+    ``GrMorphism(phi, component, source, target)``: ``phi[j]`` is the
+    position in the source tuple carrying the j-th target label; the
+    component runs between the underlying objects inside the target
+    tuple's intersection.  The ``name`` is computed once, at
+    construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, phi: tuple[int, ...], component: str, source: GrObject, target: GrObject) -> "GrMorphism":
+        return tuple.__new__(cls, (phi, component, source, target, f"{component}|{source.name}=>{target.name}"))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
 
 
 class OrderedGrObjectDescriptor(NamedTuple):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .covers import Cover, Subcategory, full_subcategory
-from .fincat import FinCategory, validate_category
+from .fincat import FinCategory, Mor, validate_category
 
 
 class ParseError(Exception):
@@ -64,9 +64,8 @@ def parse_category(text: str, validate: bool = True) -> FinCategory:
     """
     name: Optional[str] = None
     objects: list[str] = []
-    morphisms: list[tuple[str, str, str]] = []
+    morphisms: list[Mor] = []
     comp: dict[tuple[str, str], str] = {}
-    seen_comp: dict[tuple[str, str], int] = {}
 
     for no, line in _logical_lines(text):
         tok = line.split()
@@ -87,15 +86,15 @@ def parse_category(text: str, validate: bool = True) -> FinCategory:
             # mor f : x -> y
             if len(tok) != 6 or tok[2] != ":" or tok[4] != "->":
                 raise ParseError(no, "expected: mor <id> : <dom> -> <cod>")
-            morphisms.append((tok[1], tok[3], tok[5]))
+            morphisms.append(Mor(tok[1], tok[3], tok[5]))
         elif tok[0] == "comp":
             # comp g f = h   (h = g after f)
             if len(tok) != 5 or tok[3] != "=":
                 raise ParseError(no, "expected: comp <g> <f> = <h>")
             key = (tok[1], tok[2])
-            if key in seen_comp:
-                raise ParseError(no, f"composite of ({tok[1]}, {tok[2]}) already given on line {seen_comp[key]}")
-            seen_comp[key] = no
+            if key in comp:
+                first = next(n for n, earlier in _logical_lines(text) if earlier.split()[:3] == tok[:3])
+                raise ParseError(no, f"composite of ({tok[1]}, {tok[2]}) already given on line {first}")
             comp[key] = tok[4]
         else:
             raise ParseError(no, f"unknown directive {tok[0]!r}")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from catnerve.covers import Cover, full_subcategory, intersect, whole_subcategory
 from catnerve.euler import (
     EulerResult,
-    _unitriangular_order,
+    _triangular_order,
     euler_characteristic,
     format_rational,
     inclusion_exclusion_sum,
@@ -248,7 +249,7 @@ def test_acyclic_always_has_chi_and_dualizes(seed, n):
     assert res.chi == euler_characteristic(cat.opposite()).chi
 
 
-# -- integer substitution on unitriangular zeta vs the elimination -----------
+# -- substitution on triangular zeta vs the elimination ----------------------
 
 def _eliminated(cat):
     """Weighting and coweighting by ``solve_right`` on the zeta matrix."""
@@ -274,7 +275,7 @@ def _substitution_inputs():
 
 def test_substitution_equals_elimination():
     for cat in _substitution_inputs():
-        assert _unitriangular_order(zeta_matrix(cat)) is not None, cat
+        assert _triangular_order(zeta_matrix(cat)) is not None, cat
         w, v = _eliminated(cat)
         for side, expected in (("weight", w), ("coweight", v)):
             for free in (F(0), F(7), F(-1, 3)):  # no free variable: free_value never shows
@@ -294,14 +295,62 @@ def _times_z3(cat):
     return FinCategory(f"{cat.name}xZ3", cat.objects, mors, ids, comp)
 
 
-def test_elimination_kept_where_zeta_is_not_unitriangular():
-    # the answers for no_weighting_category are pinned in test_category_without_euler_characteristic
-    nw = fx.no_weighting_category()
+def _ei_category(rng, n):
+    """An EI category over a random poset P whose endomorphism groups vary.
+
+    Each object y gets d_y = lcm of random values 1..3 over the objects
+    below it, so x <= y implies d_x | d_y.  An arrow x -> y is ``x.y.a``
+    with a in Z/d_y, ``End(x) = Z/d_x``, and the composite of ``x.y.a``
+    then ``y.z.b`` is ``x.z.c`` with c = b + a * d_z / d_y mod d_z.
+    """
+    p = fx.random_poset(rng, n, p=rng.choice([0.3, 0.5]))
+    objs = list(p.objects)
+    le = {(m.dom, m.cod) for m in p.morphisms}
+    base = {x: rng.randint(1, 3) for x in objs}
+    d = {y: math.lcm(*(base[x] for x in objs if (x, y) in le)) for y in objs}
+
+    def name(x, y, a):
+        return f"id_{x}" if x == y and a == 0 else f"{x}.{y}.{a}"
+
+    mors = [(name(x, y, a), x, y) for (x, y) in sorted(le) for a in range(d[y])]
+    comp = {
+        (name(y, z, b), name(x, y, a)): name(x, z, (b + a * (d[z] // d[y])) % d[z])
+        for (x, y) in le for (y2, z) in le if y2 == y
+        for a in range(d[y]) for b in range(d[z])
+    }
+    return FinCategory.build(f"EI{n}", objs, [m for m in mors if not m[0].startswith("id_")], comp)
+
+
+def test_triangular_substitution_with_a_non_unit_diagonal():
+    rng = random.Random(11)
+    cats = [_times_z3(fx.chain_poset(2)), _times_z3(fx.fork_category())]
+    cats += [_times_z3(fx.random_poset(rng, rng.randint(2, 6))) for _ in range(6)]
+    cats += [_ei_category(rng, rng.randint(2, 7)) for _ in range(12)]
+    cats += [c.opposite() for c in cats]
+    diagonals = []
+    for cat in cats:
+        assert validate_category(cat).ok, cat
+        z = zeta_matrix(cat)
+        assert _triangular_order(z) is not None, cat
+        diagonals.append({row[i] for i, row in enumerate(z)})
+        w, v = _eliminated(cat)
+        for free in (F(0), F(5)):
+            assert (solve_weighting(cat, "weight", free), solve_weighting(cat, "coweight", free)) == (w, v), cat
+        res = euler_characteristic(cat)
+        assert res == EulerResult(sum(w, F(0)), w, v), cat
+        assert all(type(x) is F for x in (res.chi, *res.weighting, *res.coweighting)), cat
+    assert {1, 2, 3} <= set().union(*diagonals)
+    assert any(1 in diag and len(diag) > 1 for diag in diagonals)  # unit and non-unit in one category
+
     product = _times_z3(fx.chain_poset(2))
-    assert validate_category(product).ok
     assert zeta_matrix(product) == [{0: 3, 1: 3}, {1: 3}]
     assert euler_characteristic(product) == EulerResult(
         F(1, 3), (F(0), F(1, 3)), (F(1, 3), F(0)))
+
+
+def test_elimination_kept_where_zeta_is_not_triangular():
+    # the answers for no_weighting_category are pinned in test_category_without_euler_characteristic
+    nw = fx.no_weighting_category()
 
     # is_acyclic() sees no endomorphism and no two-way pair, yet x -> y -> z -> x
     cycle = FinCategory.build("C3", ["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z"), ("h", "z", "x")])
@@ -316,7 +365,7 @@ def test_elimination_kept_where_zeta_is_not_unitriangular():
     assert solve_weighting(no_id, "weight", free_value=F(5)) == (F(5), F(1))
     assert euler_characteristic(no_id) == EulerResult(None, (F(0), F(1)), None, "no coweighting")
 
-    for cat in (nw, nw.opposite(), product, product.opposite(), cycle, cycle.opposite(), no_id):
-        assert _unitriangular_order(zeta_matrix(cat)) is None, cat
+    for cat in (nw, nw.opposite(), cycle, cycle.opposite(), no_id):
+        assert _triangular_order(zeta_matrix(cat)) is None, cat
         w, v = _eliminated(cat)
         assert (solve_weighting(cat, "weight"), solve_weighting(cat, "coweight")) == (w, v), cat

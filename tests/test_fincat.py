@@ -8,6 +8,9 @@ from catnerve.fincat import (
     FunctorMap,
     Mor,
     Violation,
+    _generators,
+    _is_category,
+    _rows,
     identity_functor,
     validate_category,
     validate_functor,
@@ -370,3 +373,101 @@ def test_validate_matches_per_triple_reference():
             rules.update(r for r, _, _ in got)
     assert {"associativity", "composition-endpoints", "composition-extraneous",
             "composition-reference", "composition-totality", "morphisms-distinct"} <= rules
+
+
+# -- the proof by Light's test vs the full report -----------------------------
+
+def _cyclic(m: int) -> FinCategory:
+    """The group ``Z/m`` as a one-object category."""
+    return _times_cyclic(FinCategory.build("pt", ["x"]), m)
+
+
+def _reassociate(rng: random.Random, cat: FinCategory):
+    """``cat`` with one composite of two non-identities replaced by another
+    arrow of its hom-set, or None if no such change exists.  The table
+    stays total with correct endpoints and identity laws, so only
+    associativity can fail."""
+    choices = [
+        (key, other) for key, gf in cat.comp.items()
+        if not cat.is_identity(key[0]) and not cat.is_identity(key[1])
+        for other in cat.hom_set(cat.mor(gf).dom, cat.mor(gf).cod) if other != gf
+    ]
+    if not choices:
+        return None
+    key, other = rng.choice(choices)
+    return FinCategory(cat.name, cat.objects, cat.morphisms, cat.identity, {**cat.comp, key: other})
+
+
+def _reached(cat: FinCategory, gens) -> set[str]:
+    """The identities closed under composing with ``gens`` on the left."""
+    reached = set(cat.identity.values())
+    todo = list(reached)
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            ga = cat.comp.get((g, a))
+            if ga is not None and ga not in reached:
+                reached.add(ga)
+                todo.append(ga)
+    return reached
+
+
+def _random_category(rng: random.Random, kind: str) -> FinCategory:
+    if kind == "poset":
+        return fx.random_poset(rng, rng.randint(1, 7))
+    if kind == "dag":
+        return fx.random_dag_category(rng, rng.randint(1, 5), max_morphisms=40)
+    if kind == "cyclic":
+        return _cyclic(rng.randint(1, 6))
+    return _times_cyclic(fx.random_poset(rng, rng.randint(1, 4)), rng.randint(2, 3))
+
+
+def _report(cat: FinCategory) -> list[tuple]:
+    return [(x.rule, x.subject, x.message) for x in validate_category(cat).violations]
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["poset", "dag", "cyclic", "product"]))
+def test_proof_succeeds_exactly_when_the_report_is_ok(seed, kind):
+    rng = random.Random(seed)
+    base = _random_category(rng, kind)
+    after = _rows(base)
+    assert after is not None and _is_category(base)
+    gens = _generators(base, after)
+    assert _reached(base, gens) == {m.name for m in base.morphisms}
+    composites = {gf for (g, f), gf in base.comp.items()
+                  if not base.is_identity(g) and not base.is_identity(f)}
+    assert {m.name for m in base.non_identities()} - composites <= set(gens)
+
+    cats = [_perturb(rng, base) for _ in range(4)] + [_reassociate(rng, base) for _ in range(4)]
+    for cat in filter(None, cats):
+        ref = _per_triple_reference(cat)
+        assert _is_category(cat) == (not ref), cat.comp
+        assert _report(cat) == ref, cat.comp
+
+
+def test_report_names_failures_whose_middle_arrow_is_no_generator():
+    # By Light's argument a failing table also fails at some triple whose
+    # middle arrow is a generator, so no table fails at non-generator
+    # middles only; the report must name those triples too.
+    rng = random.Random(1961)
+    bases = [_cyclic(m) for m in (3, 4, 5, 6)]
+    bases += [_times_cyclic(fx.random_poset(rng, rng.randint(2, 4)), rng.randint(2, 3)) for _ in range(6)]
+    bases += [fx.random_dag_category(rng, rng.randint(3, 5), max_morphisms=40) for _ in range(6)]
+    away = 0
+    for base in bases:
+        for _ in range(10):
+            cat = _reassociate(rng, base)
+            if cat is None:
+                break
+            after = _rows(cat)
+            assert after is not None  # sound structure: only associativity can fail
+            ref = _per_triple_reference(cat)
+            assert {rule for rule, _, _ in ref} <= {"associativity"}
+            assert _report(cat) == ref and _is_category(cat) == (not ref)
+            gens = set(_generators(cat, after))
+            assert _reached(cat, gens) == {m.name for m in cat.morphisms}
+            middles = {subject[1] for _, subject, _ in ref}
+            if ref:
+                assert middles & gens, cat.comp
+                away += bool(middles - gens)
+    assert away >= 10

@@ -70,6 +70,15 @@ def test_parse_errors_carry_line_numbers():
         parse_category("# nothing\n")
 
 
+def test_duplicate_composite_names_the_first_line():
+    text = ("category A\n# comment\nobjects x y\nmor f : x -> y\n\n"
+            "comp  f id_x = f   # trailing\ncomp id_y f = f\ncomp f   id_x = id_x\n")
+    with pytest.raises(ParseError) as e:
+        parse_category(text, validate=False)
+    assert str(e.value) == "line 8: composite of (f, id_x) already given on line 6"
+    assert e.value.line_no == 8
+
+
 def test_parse_validation_toggle():
     text = "category A\nobjects x y z\nmor f : x -> y\nmor h : y -> z\n"
     with pytest.raises(InvalidStructureError, match="composition not total"):

@@ -5,17 +5,20 @@ import time and hashing or comparing one runs in C; what callers see of
 them must not change.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from catnerve.euler import EulerResult
 from catnerve.fincat import FinCategory, FunctorMap, Mor, ValidationReport, Violation
-from catnerve.grothendieck import OrderedGrObjectDescriptor
+from catnerve.grothendieck import GrMorphism, GrObject, OrderedGrObjectDescriptor
 from catnerve.homotopy import ChainComplexQ, HomologyComparison, HomologyReport, SimplexChain
 
 _cat = FinCategory.build("P2", ["0", "1"], [("le", "0", "1")])
 _report = HomologyReport((1,), (2, 1), Fraction(1), False)
+_y12, _y1 = GrObject(("1", "2"), "y"), GrObject(("1",), "y")
 
 RECORDS = [
     (Mor("f", "x", "y"), ("name", "dom", "cod"), "Mor(name='f', dom='x', cod='y')"),
@@ -43,6 +46,10 @@ RECORDS = [
      "truncated=False), equal=True, compared_through=0)"),
     (OrderedGrObjectDescriptor(("1", "1"), "y"), ("labels", "obj"),
      "OrderedGrObjectDescriptor(labels=('1', '1'), obj='y')"),
+    (_y12, ("labels", "obj", "name"), "GrObject(labels=('1', '2'), obj='y', name='y@1,2')"),
+    (GrMorphism((0,), "id_y", _y12, _y1), ("phi", "component", "source", "target", "name"),
+     "GrMorphism(phi=(0,), component='id_y', source=GrObject(labels=('1', '2'), obj='y', name='y@1,2'), "
+     "target=GrObject(labels=('1',), obj='y', name='y@1'), name='id_y|y@1,2=>y@1')"),
 ]
 IDS = [type(r[0]).__name__ for r in RECORDS]
 
@@ -74,3 +81,13 @@ def test_record_methods():
     assert cx.basis_dims == (2, 1)
     assert SimplexChain(1, "x", ("f",)).end(FinCategory.build("A", ["x", "y"], [("f", "x", "y")])) == "y"
     assert EulerResult(None, None, None).reason == ""
+
+
+def test_gr_records_name_once_and_round_trip():
+    m = GrMorphism((0,), "id_y", _y12, _y1)
+    assert _y12.name == "y@1,2" and m.name == "id_y|y@1,2=>y@1"
+    assert _y12 == GrObject(("1", "2"), "y") and hash(_y12) == hash(GrObject(("1", "2"), "y"))
+    assert _y12 != _y1 and m != GrMorphism((0,), "id_y", _y12, _y12)
+    for record in (_y12, m):
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and type(twin) is type(record)

@@ -107,11 +107,12 @@ def test_command_loads_only_its_modules(argv, extra):
 
 
 def test_record_modules_do_not_import_dataclasses():
-    p = _python("-c", "import sys, catnerve.homotopy; "
+    p = _python("-c", "import sys, catnerve.homotopy, catnerve.grothendieck; "
                       "print(sorted(m for m in sys.modules if m.startswith('catnerve')), "
                       "'dataclasses' in sys.modules)")
     assert p.returncode == 0, p.stderr
-    loaded = "['catnerve', 'catnerve.covers', 'catnerve.euler', 'catnerve.fincat', 'catnerve.homotopy']"
+    loaded = ("['catnerve', 'catnerve.covers', 'catnerve.euler', 'catnerve.fincat', "
+              "'catnerve.grothendieck', 'catnerve.homotopy']")
     assert p.stdout.strip() == f"{loaded} False"
 
 
