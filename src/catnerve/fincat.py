@@ -292,10 +292,12 @@ def _generators(cat: FinCategory, after: Mapping[str, Mapping[str, str]]) -> lis
     """Arrows that, with the identities, give every arrow as a composite.
 
     ``after`` holds the rows of ``_rows(cat)``.  Arrows are taken
-    greedily, fewest factorisations ``g o f`` first (an arrow that is no
-    composite of non-identities must be taken), skipping every arrow
-    already reached; the reached set is the closure of the identities
-    under composing with a taken arrow on the left.
+    greedily, fewest factorisations ``g o f`` first (each non-identity
+    arrow has exactly two with an identity factor, so this is the order
+    by non-identity factorisations, and an arrow with none must be
+    taken), skipping every arrow already reached; the reached set is the
+    closure of the identities under composing with a taken arrow on the
+    left.
     """
     mors = cat._mors
     reached = set(cat.identity.values())
