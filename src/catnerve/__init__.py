@@ -40,7 +40,7 @@ _EXPORTS = {
         "zeta_matrix",
     ),
     "homotopy": (
-        "HomologyComparison", "HomologyReport", "SimplexChain", "betti_numbers",
+        "HomologyComparison", "HomologyReport", "betti_numbers",
         "compare_homology", "euler_consistency", "nerve_chains",
     ),
     "io": (

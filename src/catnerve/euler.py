@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, intersect, union_closure
 from .fincat import FinCategory, ValidationReport, Violation
@@ -65,9 +65,27 @@ def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, Fractio
     return basis
 
 
-def rank(m: Sequence[Mapping[int, int]]) -> int:
-    """Rank over Q of a sparse matrix given as rows (or, equally, as columns)."""
-    return len(_eliminate(m))
+def rank(
+    m: Sequence[Mapping[int, int]], *, skip: Collection[int] = (), leads: Optional[set[int]] = None
+) -> int:
+    """Rank over Q of a sparse matrix given as rows (or, equally, as columns).
+
+    The rows whose positions are in ``skip`` are left out of the
+    elimination; ``leads``, when given, receives the leading columns of
+    the echelon basis it finds.  Together they serve clearing (Chen and
+    Kerber, "Persistent homology computation with a twist", 2011) on
+    boundary maps given as columns, ``d_{k-1} d_k = 0``: pass the leads
+    of ``d_k`` as ``skip`` for ``d_{k-1}``, and the rank is unchanged.
+    Each basis vector of ``im d_k`` with lead ``p`` is ``e_p`` plus
+    entries after ``p`` and lies in ``ker d_{k-1}``, so column ``p`` of
+    ``d_{k-1}`` is a combination of the columns after it; by descending
+    induction on ``p``, every led column lies in the span of the
+    columns that lead nowhere.
+    """
+    basis = _eliminate(row for i, row in enumerate(m) if i not in skip) if skip else _eliminate(m)
+    if leads is not None:
+        leads.update(basis)
+    return len(basis)
 
 
 def solve_right(

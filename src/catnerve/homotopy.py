@@ -1,11 +1,22 @@
 """Rational homology of the nerve of a finite category.
 
 Chains are the nondegenerate simplices of the nerve: composable strings
-of non-identity morphisms.  Boundaries alternate drop-first / compose /
-drop-last; a face whose composite collapses to an identity is
-degenerate and contributes nothing.  Boundary maps are sparse integer
-columns; ranks come from ``euler.rank``, an exact elimination over the
-rationals, so Betti numbers carry no floating-point noise.
+of non-identity morphisms, written as tuples of ints.  A 0-chain is
+``(i,)`` for the object ``cat.objects[i]``; a k-chain (k >= 1) lists
+the indices in ``cat.morphisms`` of its k arrows, first arrow first.
+Boundaries alternate drop-first / compose / drop-last, so a face is a
+slice of the tuple or one lookup in the composite table; a face whose
+composite collapses to an identity is degenerate and contributes
+nothing.  Boundary maps are sparse integer columns; ranks come from
+``euler.rank``, an exact elimination over the rationals, so Betti
+numbers carry no floating-point noise.
+
+The ranks are found top-down by clearing (Chen and Kerber, "Persistent
+homology computation with a twist", 2011): the leading columns of the
+echelon basis of ``im d_k`` are k-chains whose columns of ``d_{k-1}``
+lie in the span of the other columns, so that elimination skips them
+(the argument is in ``euler.rank``).  It is the same single elimination
+on fewer columns, and every rank it returns is the true rank.
 
 Equality of Betti vectors is a necessary condition for the two nerves
 to be weakly equivalent, not a sufficient one; the comparison here is a
@@ -17,45 +28,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .euler import ZERO, rank
+from .euler import rank
 from .fincat import FinCategory
 
-
-class SimplexChain(NamedTuple):
-    """A nondegenerate simplex: ``start`` then ``dim`` non-identity arrows."""
-
-    dim: int
-    start: str
-    morphisms: tuple[str, ...]
-
-    def end(self, cat: FinCategory) -> str:
-        return cat.mor(self.morphisms[-1]).cod if self.morphisms else self.start
+Chain = tuple[int, ...]
 
 
-def _face(cat: FinCategory, chain: SimplexChain, i: int) -> Optional[SimplexChain]:
-    """The i-th face, or None when it is degenerate (identity composite)."""
-    k, ms = chain.dim, chain.morphisms
-    if i == 0:
-        rest = ms[1:]
-        start = cat.mor(ms[0]).cod
-        return SimplexChain(k - 1, start, rest)
-    if i == k:
-        return SimplexChain(k - 1, chain.start, ms[:-1])
-    comp = cat.compose(ms[i], ms[i - 1])
-    if cat.is_identity(comp):
-        return None
-    return SimplexChain(k - 1, chain.start, ms[: i - 1] + (comp,) + ms[i + 1 :])
-
-
-def nerve_chains(
-    cat: FinCategory, max_dim: Optional[int] = None
-) -> list[list[SimplexChain]]:
-    """Nondegenerate nerve simplices by dimension.
+def nerve_chains(cat: FinCategory, max_dim: Optional[int] = None) -> list[list[Chain]]:
+    """Nondegenerate nerve simplices by dimension, as int tuples.
 
     Without ``max_dim`` the category must be acyclic (otherwise some
     endomorphism loop yields chains in every dimension) and the list
     stops at the first empty level.  With ``max_dim`` the enumeration is
-    cut after that dimension regardless.
+    cut after that dimension regardless.  A (k+1)-chain extends a
+    k-chain by one arrow; a level lists its chains by that k-chain, then
+    by the new arrow's place in ``cat.morphisms``.
     """
     if max_dim is None:
         if not cat.is_acyclic():
@@ -65,14 +52,18 @@ def nerve_chains(
             )
     elif max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    levels = [[SimplexChain(0, x, ()) for x in cat.objects]]
+    out: dict[str, list[Chain]] = {x: [] for x in cat.objects}
+    for i, m in enumerate(cat.morphisms):
+        if m.dom in out and not cat.is_identity(m.name):
+            out[m.dom].append((i,))
+    then = [out.get(m.cod, ()) for m in cat.morphisms]  # the arrows that may follow arrow i
+    levels = [[(i,) for i in range(len(cat.objects))]]
     d = 0
     while max_dim is None or d < max_dim:
-        nxt = []
-        for ch in levels[d]:
-            for m in cat.morphisms_from(ch.end(cat)):
-                if not cat.is_identity(m.name):
-                    nxt.append(SimplexChain(d + 1, ch.start, ch.morphisms + (m.name,)))
+        if d:
+            nxt = [ch + a for ch in levels[d] for a in then[ch[-1]]]
+        else:
+            nxt = [a for x in cat.objects for a in out[x]]
         if not nxt:
             break
         levels.append(nxt)
@@ -80,21 +71,39 @@ def nerve_chains(
     return levels
 
 
-def boundary_matrix(
-    cat: FinCategory, lower: list[SimplexChain], upper: list[SimplexChain]
-) -> list[dict[int, int]]:
+def boundary_matrix(cat: FinCategory, lower: list[Chain], upper: list[Chain]) -> list[dict[int, int]]:
     """Boundary map from ``upper`` to ``lower`` chains, one sparse column per
-    upper chain (index into ``lower`` -> nonzero coefficient)."""
+    upper chain (index into ``lower`` -> nonzero coefficient).
+
+    An arrow's boundary is ``cod - dom``.  For longer chains each middle
+    face looks its composite up once per pair of arrows.
+    """
     index = {ch: i for i, ch in enumerate(lower)}
-    cols = []
+    mors = cat.morphisms
+    cols: list[dict[int, int]] = []
+    if upper and len(upper[0]) == 1:  # arrows, over objects
+        obj = {x: (i,) for i, x in enumerate(cat.objects)}
+        for (f,) in upper:
+            a, b = index[obj[mors[f].dom]], index[obj[mors[f].cod]]
+            cols.append({b: 1, a: -1} if a != b else {})
+        return cols
+    at = {m.name: i for i, m in enumerate(mors)}
+    composite: dict[tuple[int, int], int] = {}  # (g, f) -> g o f, or -1 for an identity
     for ch in upper:
-        col: dict[int, int] = {}
-        for i in range(ch.dim + 1):
-            face = _face(cat, ch, i)
-            if face is not None:
-                j = index[face]
-                col[j] = col.get(j, 0) + (1 if i % 2 == 0 else -1)
-        cols.append({j: v for j, v in col.items() if v})
+        k = len(ch)
+        col = {index[ch[1:]]: 1}
+        for i in range(1, k):
+            pair = (ch[i], ch[i - 1])
+            c = composite.get(pair)
+            if c is None:
+                gf = cat.compose(mors[pair[0]].name, mors[pair[1]].name)
+                c = composite[pair] = -1 if cat.is_identity(gf) else at[gf]
+            if c >= 0:
+                j = index[ch[: i - 1] + (c,) + ch[i + 1 :]]
+                col[j] = col.get(j, 0) + (-1 if i & 1 else 1)
+        j = index[ch[:-1]]
+        col[j] = col.get(j, 0) + (-1 if k & 1 else 1)
+        cols.append({j: v for j, v in col.items() if v} if 0 in col.values() else col)
     return cols
 
 
@@ -113,7 +122,7 @@ def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) 
 class ChainComplexQ(NamedTuple):
     """Chain groups (nondegenerate simplices) with their boundary maps."""
 
-    levels: tuple[tuple[SimplexChain, ...], ...]
+    levels: tuple[tuple[Chain, ...], ...]
     boundaries: tuple[list[dict[int, int]], ...]  # boundaries[k] : C_{k+1} -> C_k
 
     @property
@@ -159,7 +168,12 @@ def betti_numbers(cat: FinCategory, max_dim: Optional[int] = None) -> HomologyRe
     cx = chain_complex(cat, cut)
     levels, bnds = cx.levels, cx.boundaries
     report_upto = len(levels) - 1 if max_dim is None else min(max_dim, len(levels) - 1)
-    ranks = [rank(d) for d in bnds]
+    ranks = [0] * len(bnds)
+    cleared: set[int] = set()
+    for k in reversed(range(len(bnds))):  # the leads of d_k clear columns of d_{k-1}
+        leads: set[int] = set()
+        ranks[k] = rank(bnds[k], skip=cleared, leads=leads)
+        cleared = leads
     betti = []
     for k in range(report_upto + 1):
         below = ranks[k - 1] if k >= 1 and k - 1 < len(ranks) else 0
@@ -167,9 +181,7 @@ def betti_numbers(cat: FinCategory, max_dim: Optional[int] = None) -> HomologyRe
         betti.append(len(levels[k]) - below - above)
     truncated = max_dim is not None and len(levels) > max_dim + 1
     dims = tuple(len(levels[k]) for k in range(report_upto + 1))
-    euler_top = sum(
-        (Fraction((-1) ** k * n) for k, n in enumerate(dims)), ZERO
-    )
+    euler_top = Fraction(sum(dims[0::2]) - sum(dims[1::2]))
     return HomologyReport(tuple(betti), dims, euler_top, truncated)
 
 

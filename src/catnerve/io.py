@@ -50,7 +50,7 @@ class InvalidStructureError(Exception):
 
 def _logical_lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if line:
             yield i, line
 

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -9,7 +10,10 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("default")
+# CI runs derandomized, and a failure prints the blob that replays it
+# with @reproduce_failure
+settings.register_profile("ci", settings.get_profile("default"), derandomize=True, print_blob=True)
+settings.load_profile("ci" if os.environ.get("CI") else "default")
 
 
 @pytest.fixture

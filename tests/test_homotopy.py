@@ -1,15 +1,15 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
-from catnerve.euler import euler_characteristic
-from catnerve.fincat import FinCategory
+from catnerve.euler import rank
+from catnerve.fincat import FinCategory, Mor
 from catnerve.grothendieck import ReducedGrothendieck
 from catnerve.homotopy import (
-    SimplexChain,
     betti_numbers,
     chain_complex,
     compare_homology,
@@ -28,14 +28,19 @@ def walking_iso():
     )
 
 
+def _names(cat: FinCategory, chain: tuple[int, ...]) -> tuple[str, ...]:
+    """The arrow names of a chain of dimension >= 1."""
+    return tuple(cat.morphisms[i].name for i in chain)
+
+
 def test_nerve_chains_counterexample():
     c = fx.counterexample_category()
     levels = nerve_chains(c)
     assert [len(l) for l in levels] == [3, 4, 2]
-    two = {ch.morphisms for ch in levels[2]}
+    assert levels[0] == [(0,), (1,), (2,)]  # object indices
+    two = {_names(c, ch) for ch in levels[2]}
     assert two == {("f", "h"), ("g", "h")}
-    assert levels[2][0].end(c) == "z"
-    assert levels[0][0].end(c) == levels[0][0].start
+    assert c.morphisms[levels[2][0][-1]].cod == "z"
 
 
 def test_nerve_chains_guards():
@@ -50,8 +55,7 @@ def test_degenerate_middle_faces_vanish():
     # in the walking iso, d1 of (f, g) composes to an identity: dropped
     iso = walking_iso()
     cx = chain_complex(iso, max_dim=2)
-    col = {ch: i for i, ch in enumerate(cx.levels[2])}
-    j = col[SimplexChain(2, "x", ("f", "g"))]
+    j = [_names(iso, ch) for ch in cx.levels[2]].index(("f", "g"))
     # only the two outer faces contribute, both with even index (sign +1)
     assert sorted(cx.boundaries[1][j].values()) == [1, 1]
 
@@ -188,3 +192,126 @@ def test_euler_top_equals_chi_random_acyclic(seed, n):
     cat = fx.random_dag_category(random.Random(seed), n, max_morphisms=100)
     chi, top = euler_consistency(cat)
     assert chi == top
+
+
+# -- differential: int chains and cleared ranks vs the named-chain reference --
+
+class _RefChain(NamedTuple):
+    """The former chain record: ``start`` then ``dim`` non-identity arrow names."""
+
+    dim: int
+    start: str
+    morphisms: tuple[str, ...]
+
+
+def _ref_chains(cat: FinCategory, max_dim: Optional[int]) -> list[list[_RefChain]]:
+    """The former enumeration, by names, kept as the reference."""
+    levels = [[_RefChain(0, x, ()) for x in cat.objects]]
+    d = 0
+    while max_dim is None or d < max_dim:
+        nxt = []
+        for ch in levels[d]:
+            end = cat.mor(ch.morphisms[-1]).cod if ch.morphisms else ch.start
+            for m in cat.morphisms_from(end):
+                if not cat.is_identity(m.name):
+                    nxt.append(_RefChain(d + 1, ch.start, ch.morphisms + (m.name,)))
+        if not nxt:
+            break
+        levels.append(nxt)
+        d += 1
+    return levels
+
+
+def _ref_face(cat: FinCategory, ch: _RefChain, i: int) -> Optional[_RefChain]:
+    k, ms = ch.dim, ch.morphisms
+    if i == 0:
+        return _RefChain(k - 1, cat.mor(ms[0]).cod, ms[1:])
+    if i == k:
+        return _RefChain(k - 1, ch.start, ms[:-1])
+    comp = cat.compose(ms[i], ms[i - 1])
+    if cat.is_identity(comp):
+        return None
+    return _RefChain(k - 1, ch.start, ms[: i - 1] + (comp,) + ms[i + 1 :])
+
+
+def _ref_boundary(cat: FinCategory, lower: list[_RefChain], upper: list[_RefChain]) -> list[dict[int, int]]:
+    index = {ch: i for i, ch in enumerate(lower)}
+    cols = []
+    for ch in upper:
+        col: dict[int, int] = {}
+        for i in range(ch.dim + 1):
+            face = _ref_face(cat, ch, i)
+            if face is not None:
+                j = index[face]
+                col[j] = col.get(j, 0) + (1 if i % 2 == 0 else -1)
+        cols.append({j: v for j, v in col.items() if v})
+    return cols
+
+
+def _decode(cat: FinCategory, dim: int, chain: tuple[int, ...]) -> _RefChain:
+    if dim == 0:
+        return _RefChain(0, cat.objects[chain[0]], ())
+    return _RefChain(dim, cat.morphisms[chain[0]].dom, _names(cat, chain))
+
+
+def _times_cyclic(cat: FinCategory, m: int) -> FinCategory:
+    """``cat x Z/m``: arrow ``(r, a)`` is named ``r`` for a = 0, else ``r+a``."""
+    def name(r: str, a: int) -> str:
+        return f"{r}+{a}" if a else r
+
+    mors = [Mor(name(r.name, a), r.dom, r.cod) for r in cat.morphisms for a in range(m)]
+    comp = {(name(g, b), name(f, a)): name(gf, (a + b) % m)
+            for (g, f), gf in cat.comp.items() for a in range(m) for b in range(m)}
+    return FinCategory(f"{cat.name}xZ{m}", cat.objects, mors, cat.identity, comp)
+
+
+def _check_against_reference(cat: FinCategory, max_dim: Optional[int] = None) -> None:
+    """Same chains in the same order, the same boundaries, cleared ranks
+    equal to plain ranks, and the reference's Betti numbers."""
+    cut = None if max_dim is None else max_dim + 1
+    ref = _ref_chains(cat, cut)
+    cx = chain_complex(cat, cut)
+    assert cx.basis_dims == tuple(map(len, ref))
+    assert [[_decode(cat, k, ch) for ch in lv] for k, lv in enumerate(cx.levels)] == ref
+    ref_bnds = [_ref_boundary(cat, ref[k], ref[k + 1]) for k in range(len(ref) - 1)]
+    assert [sum(map(len, d)) for d in cx.boundaries] == [sum(map(len, d)) for d in ref_bnds]
+    assert list(cx.boundaries) == ref_bnds
+    plain = [rank(d) for d in ref_bnds]
+    cleared: set[int] = set()
+    for k in reversed(range(len(cx.boundaries))):
+        leads: set[int] = set()
+        assert rank(cx.boundaries[k], skip=cleared, leads=leads) == plain[k], (cat.name, k)
+        assert len(leads) == plain[k]
+        cleared = leads
+    top = len(ref) - 1 if max_dim is None else min(max_dim, len(ref) - 1)
+    betti = tuple(len(ref[k]) - (plain[k - 1] if k else 0) - (plain[k] if k < len(plain) else 0)
+                  for k in range(top + 1))
+    assert betti_numbers(cat, max_dim).betti == betti
+
+
+def test_int_chains_match_reference_on_fixtures():
+    for name, cat in fx.category_fixtures():
+        _check_against_reference(cat)
+    for name, cov in fx.all_cover_fixtures():
+        _check_against_reference(cov.parent)
+        _check_against_reference(ReducedGrothendieck(cov).category)
+    for max_dim in (0, 1, 2, 3):  # truncated, not acyclic
+        _check_against_reference(walking_iso(), max_dim)
+        _check_against_reference(fx.no_weighting_category(), max_dim)
+        _check_against_reference(_times_cyclic(fx.fork_category(), 3), max_dim)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["poset", "dag", "ideal", "filter", "product"]))
+def test_int_chains_and_clearing_match_reference(seed, kind):
+    rng = random.Random(seed)
+    if kind == "dag" or kind in ("ideal", "filter") and rng.random() < 0.5:
+        cat = fx.random_dag_category(rng, rng.randint(2, 6), max_morphisms=60)
+    else:
+        cat = fx.random_poset(rng, rng.randint(2, 7), p=0.4)
+    if kind == "product":
+        _check_against_reference(_times_cyclic(cat, rng.randint(2, 3)), rng.randint(0, 2))
+    elif kind in ("ideal", "filter"):
+        make = fx.random_ideal_cover if kind == "ideal" else fx.random_filter_cover
+        _check_against_reference(ReducedGrothendieck(make(rng, cat, max_parts=3)).category)
+    else:
+        _check_against_reference(cat)

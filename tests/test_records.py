@@ -14,7 +14,7 @@ import pytest
 from catnerve.euler import EulerResult
 from catnerve.fincat import FinCategory, FunctorMap, Mor, ValidationReport, Violation
 from catnerve.grothendieck import GrMorphism, GrObject, OrderedGrObjectDescriptor
-from catnerve.homotopy import ChainComplexQ, HomologyComparison, HomologyReport, SimplexChain
+from catnerve.homotopy import ChainComplexQ, HomologyComparison, HomologyReport, chain_complex
 
 _cat = FinCategory.build("P2", ["0", "1"], [("le", "0", "1")])
 _report = HomologyReport((1,), (2, 1), Fraction(1), False)
@@ -34,10 +34,8 @@ RECORDS = [
      ("chi", "weighting", "coweighting", "reason"),
      "EulerResult(chi=Fraction(1, 1), weighting=(Fraction(1, 1),), "
      "coweighting=(Fraction(1, 1),), reason='')"),
-    (SimplexChain(1, "x", ("f",)), ("dim", "start", "morphisms"),
-     "SimplexChain(dim=1, start='x', morphisms=('f',))"),
-    (ChainComplexQ(((SimplexChain(0, "x", ()),),), ()), ("levels", "boundaries"),
-     "ChainComplexQ(levels=((SimplexChain(dim=0, start='x', morphisms=()),),), boundaries=())"),
+    (ChainComplexQ((((0,),),), ()), ("levels", "boundaries"),
+     "ChainComplexQ(levels=(((0,),),), boundaries=())"),
     (_report, ("betti", "basis_dims", "euler_top", "truncated"),
      "HomologyReport(betti=(1,), basis_dims=(2, 1), euler_top=Fraction(1, 1), truncated=False)"),
     (HomologyComparison(_report, _report, True, 0), ("left", "right", "equal", "compared_through"),
@@ -76,10 +74,12 @@ def test_record_methods():
     assert not ValidationReport((v,)).ok
     assert ValidationReport((v,)).messages() == ["identity: object 'x' has no identity"]
     assert ValidationReport(details=("checked 3 pairs",)).details == ("checked 3 pairs",)
-    cx = ChainComplexQ(((SimplexChain(0, "x", ()), SimplexChain(0, "y", ())), (SimplexChain(1, "x", ("f",)),)),
-                       ([{0: -1, 1: 1}],))
+    arrow = FinCategory.build("A", ["x", "y"], [("f", "x", "y")])
+    cx = ChainComplexQ((((0,), (1,)), ((2,),)), ([{0: -1, 1: 1}],))
     assert cx.basis_dims == (2, 1)
-    assert SimplexChain(1, "x", ("f",)).end(FinCategory.build("A", ["x", "y"], [("f", "x", "y")])) == "y"
+    assert chain_complex(arrow) == cx  # objects x, y; then f, third in arrow.morphisms
+    assert [arrow.objects[i] for (i,) in cx.levels[0]] == ["x", "y"]
+    assert [arrow.morphisms[i].name for (i,) in cx.levels[1]] == ["f"]
     assert EulerResult(None, None, None).reason == ""
 
 
