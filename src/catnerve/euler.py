@@ -82,7 +82,7 @@ def rank(
     induction on ``p``, every led column lies in the span of the
     columns that lead nowhere.
     """
-    basis = _eliminate(row for i, row in enumerate(m) if i not in skip) if skip else _eliminate(m)
+    basis = _eliminate(row for i, row in enumerate(m) if i not in skip)
     if leads is not None:
         leads.update(basis)
     return len(basis)
