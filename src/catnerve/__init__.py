@@ -20,14 +20,13 @@ _EXPORTS = {
     ),
     "covers": (
         "Classification", "Cover", "Subcategory", "classify_subcategory", "complement",
-        "empty_subcategory", "filter_closure", "full_subcategory", "ideal_closure",
-        "intersect", "is_cover", "membership_counts", "opposite_subcategory",
-        "to_two_point_poset", "two_point_poset", "union_closure", "whole_subcategory",
+        "filter_closure", "full_subcategory", "ideal_closure", "intersect", "is_cover",
+        "opposite_subcategory", "to_two_point_poset", "two_point_poset", "union_closure",
+        "whole_subcategory",
     ),
     "cech": (
         "IndexTuple", "NerveLevelPiece", "check_simplicial_identities", "delta_face",
-        "delta_degeneracy", "face_functor", "degeneracy_functor", "induced_functor",
-        "level", "level_piece",
+        "delta_degeneracy", "induced_functor", "level", "level_piece",
     ),
     "grothendieck": (
         "GrMorphism", "GrObject", "OrderedGrObjectDescriptor", "ReducedGrothendieck",

@@ -2,9 +2,10 @@
 
 A level-n piece is the intersection of the parts named by an
 (n+1)-tuple of labels, a ``Subcategory`` and so a category itself.
-Tuple discipline comes in three variants: ``ordinary`` (arbitrary
-tuples), ``ordered`` (weakly increasing in the cover's label order) and
-``reduced`` (strictly increasing).  Structure maps are induced by
+Tuple discipline comes in the three variants of ``covers.VARIANTS``:
+``ordinary`` (arbitrary tuples), ``ordered`` (weakly increasing in the
+cover's label order) and ``reduced`` (strictly increasing); the cover
+enumerates and checks its tuples.  Structure maps are induced by
 order-preserving maps between finite ordinals and are always
 inclusions of intersections, functors between the pieces themselves.
 """
@@ -12,13 +13,10 @@ inclusions of intersections, functors between the pieces themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
-from .covers import Cover, Subcategory
-from .fincat import FinCategory, FunctorMap, ValidationReport, Violation, identity_functor
-
-VARIANTS = ("ordinary", "ordered", "reduced")
+from .covers import VARIANTS, Cover, Subcategory
+from .fincat import FunctorMap, ValidationReport, Violation, identity_functor
 
 # ordinary levels grow like |labels|**(n+1); enumeration is capped
 DEFAULT_ORDINARY_CAP = 4
@@ -54,17 +52,6 @@ class NerveLevelPiece:
         return self.tuple == other.tuple and self.category == other.category
 
 
-def check_tuple(cover: Cover, t: IndexTuple) -> None:
-    """Raise unless the tuple satisfies its variant constraint."""
-    pos = [cover.position(a) for a in t.labels]  # raises on unknown labels
-    if t.variant == "ordered":
-        if any(a > b for a, b in zip(pos, pos[1:])):
-            raise ValueError(f"tuple {t.labels} is not weakly increasing")
-    elif t.variant == "reduced":
-        if any(a >= b for a, b in zip(pos, pos[1:])):
-            raise ValueError(f"tuple {t.labels} is not strictly increasing")
-
-
 def level_piece(cover: Cover, t: IndexTuple) -> NerveLevelPiece:
     """The intersection of the parts named by the tuple.
 
@@ -72,17 +59,8 @@ def level_piece(cover: Cover, t: IndexTuple) -> NerveLevelPiece:
     the cover's own (``Cover.piece``), shared with every tuple on the
     same label set.
     """
-    check_tuple(cover, t)
+    cover.check_tuple(t.labels, t.variant)
     return NerveLevelPiece(t, cover.piece(t.labels))
-
-
-def _enumerate_tuples(cover: Cover, length: int, variant: str):
-    labels = cover.index_order
-    if variant == "ordinary":
-        return product(labels, repeat=length)
-    if variant == "ordered":
-        return combinations_with_replacement(labels, length)
-    return combinations(labels, length)  # empty once length > len(labels)
 
 
 def level(
@@ -95,12 +73,11 @@ def level(
     """All pieces at level n, tuples in lexicographic label order."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant: {variant!r}")
     if variant == "ordinary" and n > ordinary_cap:
         raise ValueError(f"ordinary level {n} exceeds the enumeration cap {ordinary_cap}")
-    return [level_piece(cover, IndexTuple(t, variant))
-            for t in _enumerate_tuples(cover, n + 1, variant)]
+    # the cover's own tuples need no check
+    return [NerveLevelPiece(IndexTuple(t, variant), cover.piece(t))
+            for t in cover.tuples(n + 1, variant)]
 
 
 # -- maps of finite ordinals ----------------------------------------------
@@ -119,11 +96,6 @@ def delta_degeneracy(j: int, n: int) -> tuple[int, ...]:
     return tuple(k if k <= j else k - 1 for k in range(n + 2))
 
 
-def compose_delta(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    """Composite ``outer after inner`` of ordinal maps given by images."""
-    return tuple(outer[k] for k in inner)
-
-
 def induced_functor(cover: Cover, phi: Sequence[int], t: IndexTuple) -> FunctorMap:
     """Structure map of the nerve for phi: [m] -> [n] at the tuple t.
 
@@ -132,7 +104,7 @@ def induced_functor(cover: Cover, phi: Sequence[int], t: IndexTuple) -> FunctorM
     functor is the inclusion.  Its source and target are the cover's
     own pieces, not copies.
     """
-    check_tuple(cover, t)
+    cover.check_tuple(t.labels, t.variant)
     n = len(t.labels) - 1
     phi = tuple(phi)
     if not phi:
@@ -144,18 +116,9 @@ def induced_functor(cover: Cover, phi: Sequence[int], t: IndexTuple) -> FunctorM
         raise ValueError(f"phi {phi} is not order-preserving")
     if t.variant == "reduced" and any(a >= b for a, b in zip(phi, phi[1:])):
         raise ValueError("reduced-variant structure maps must be injective")
-    target_labels = tuple(t.labels[p] for p in phi)
-    src = level_piece(cover, t).category
-    tgt = level_piece(cover, IndexTuple(target_labels, t.variant)).category
-    return identity_functor(src)._replace(target=tgt)
-
-
-def face_functor(cover: Cover, t: IndexTuple, i: int) -> FunctorMap:
-    return induced_functor(cover, delta_face(i, len(t.labels) - 1), t)
-
-
-def degeneracy_functor(cover: Cover, t: IndexTuple, j: int) -> FunctorMap:
-    return induced_functor(cover, delta_degeneracy(j, len(t.labels) - 1), t)
+    # an order-preserving phi (injective where reduced) keeps the variant
+    tgt = cover.piece([t.labels[p] for p in phi])
+    return identity_functor(cover.piece(t.labels))._replace(target=tgt)
 
 
 def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordinary") -> ValidationReport:
@@ -167,8 +130,6 @@ def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordi
     """
     if up_to_n < 0:
         raise ValueError("up_to_n must be >= 0")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant: {variant!r}")
     v: list[Violation] = []
     checked = 0
 
@@ -181,7 +142,7 @@ def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordi
 
     for length in range(1, up_to_n + 2):
         n = length - 1
-        for labels in _enumerate_tuples(cover, length, variant):
+        for labels in cover.tuples(length, variant):
             t = IndexTuple(labels, variant)
             if n >= 2:
                 for j in range(n + 1):
@@ -207,8 +168,7 @@ def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordi
                     checked += 1
                     lhs, tl = run(t, delta_degeneracy(j, n), delta_face(i, n + 1))
                     if i in (j, j + 1):
-                        piece = level_piece(cover, t).category
-                        if lhs != identity_functor(piece) or tl != t.labels:
+                        if lhs != identity_functor(cover.piece(labels)) or tl != t.labels:
                             v.append(Violation("simplicial-ds", labels + (str(i), str(j)),
                                                f"d_{i} s_{j} != id at {labels}"))
                         continue

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from .covers import Cover, classify_subcategory, is_cover
+from .covers import VARIANTS, Cover, classify_subcategory, is_cover
 from .fincat import FinCategory, validate_category
 from .io import InvalidStructureError, ParseError, emit_category, parse_category, parse_cover
 
@@ -132,9 +132,7 @@ def cover_check(cat_file: str, cover_file: str, require_ideal: bool, require_fil
 @click.argument("cat_file")
 @click.argument("cover_file")
 @click.option("--level", "level_n", type=int, required=True, help="nerve level (tuples of length level+1)")
-# the values of cech.VARIANTS, spelled out so that parsing the options does not load cech
-@click.option("--variant", type=click.Choice(("ordinary", "ordered", "reduced")),
-              default="ordinary", show_default=True)
+@click.option("--variant", type=click.Choice(VARIANTS), default="ordinary", show_default=True)
 def cech(cat_file: str, cover_file: str, level_n: int, variant: str) -> None:
     """List the intersection pieces at one nerve level."""
     from .cech import level

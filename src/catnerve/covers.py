@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import combinations, combinations_with_replacement, product
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fincat import FinCategory, FunctorMap
+
+# label tuple disciplines: any tuple, weakly increasing, strictly increasing
+VARIANTS = ("ordinary", "ordered", "reduced")
 
 
 class Classification(NamedTuple):
@@ -111,10 +115,6 @@ def whole_subcategory(cat: FinCategory) -> Subcategory:
     return full_subcategory(cat, cat.objects)
 
 
-def empty_subcategory(cat: FinCategory) -> Subcategory:
-    return Subcategory(cat, (), ())
-
-
 def intersect(parts: Sequence[Subcategory]) -> Subcategory:
     """Objectwise and morphismwise intersection of subcategories.
 
@@ -171,7 +171,9 @@ class Cover:
     parts named by a label set is built once, on first use, and shared
     by every later ``piece`` call (also from ``with_order`` copies):
     inclusion-exclusion, ``gr`` and the nerve levels all read the same
-    pieces.
+    pieces.  The label tuples naming the pieces of each nerve (the
+    ``VARIANTS``) are enumerated by ``tuples`` and checked by
+    ``check_tuple``.
     """
 
     def __init__(
@@ -206,6 +208,33 @@ class Cover:
             return self._pos[label]
         except KeyError:
             raise ValueError(f"unknown cover label: {label!r}") from None
+
+    def tuples(self, length: int, variant: str) -> Iterator[tuple[str, ...]]:
+        """The label tuples of one length under a variant, in lexicographic
+        label order: ``k**length`` ordinary, ``comb(k + length - 1, length)``
+        ordered and ``comb(k, length)`` reduced ones for ``k`` labels.
+
+        Raises ValueError at the call on an unknown variant.
+        """
+        labels = self.index_order
+        if variant == "ordinary":
+            return product(labels, repeat=length)
+        if variant == "ordered":
+            return combinations_with_replacement(labels, length)
+        if variant == "reduced":
+            return combinations(labels, length)
+        raise ValueError(f"unknown variant: {variant!r}")
+
+    def check_tuple(self, labels: Sequence[str], variant: str) -> None:
+        """Raise ValueError unless ``labels`` is a tuple of the variant."""
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant: {variant!r}")
+        pos = [self.position(a) for a in labels]  # raises on unknown labels
+        steps = list(zip(pos, pos[1:]))
+        if variant == "ordered" and any(a > b for a, b in steps):
+            raise ValueError(f"tuple {tuple(labels)} is not weakly increasing")
+        if variant == "reduced" and any(a >= b for a, b in steps):
+            raise ValueError(f"tuple {tuple(labels)} is not strictly increasing")
 
     def piece(self, labels: Iterable[str]) -> Subcategory:
         """Intersection of the parts named by ``labels``.
@@ -248,19 +277,13 @@ def classify_subcategory(sub: Subcategory) -> Classification:
     """
     if not sub.full:
         return Classification(False, False)
-    parent = sub.parent
-    is_ideal = True
-    is_filter = True
-    for y in parent.objects:
-        if y in sub._objset:
-            continue
-        for x in sub.objects:
-            if is_ideal and parent.hom_set(y, x):
-                is_ideal = False
-            if is_filter and parent.hom_set(x, y):
-                is_filter = False
-        if not (is_ideal or is_filter):
-            break
+    inside = sub._objset
+    is_ideal = is_filter = True
+    for x, y in sub.parent._hom:  # each pair of objects with an arrow x -> y, once
+        if x not in inside and y in inside:  # an arrow into the part
+            is_ideal = False
+        elif x in inside and y not in inside:  # an arrow out of the part
+            is_filter = False
     return Classification(is_ideal, is_filter)
 
 
@@ -299,14 +322,6 @@ def to_two_point_poset(sub: Subcategory) -> FunctorMap:
     return FunctorMap(parent, target, object_map, morphism_map)
 
 
-def membership_counts(cover: Cover) -> dict[str, int]:
-    """How many parts contain each parent object."""
-    return {
-        x: sum(1 for a in cover.index_order if cover.parts[a].has_object(x))
-        for x in cover.parent.objects
-    }
-
-
 def _closure(cat: FinCategory, objects: Iterable[str], down: bool) -> Subcategory:
     """Smallest full subcategory containing ``objects`` and every object
     with an arrow into it (``down``) or out of it (otherwise)."""
@@ -314,16 +329,17 @@ def _closure(cat: FinCategory, objects: Iterable[str], down: bool) -> Subcategor
     for x in s:
         if not cat.has_object(x):
             raise ValueError(f"unknown object id: {x!r}")
-    hom = cat.hom_set if down else (lambda y, x: cat.hom_set(x, y))
-    changed = True
-    while changed:
-        changed = False
-        for y in cat.objects:
-            if y in s:
-                continue
-            if any(hom(y, x) for x in s):
+    # the objects one arrow away, read off the parent's arrows once
+    step: dict[str, list[str]] = {}
+    for x, y in cat._hom:
+        a, b = (y, x) if down else (x, y)
+        step.setdefault(a, []).append(b)
+    todo = list(s)
+    while todo:
+        for y in step.get(todo.pop(), ()):
+            if y not in s:
                 s.add(y)
-                changed = True
+                todo.append(y)
     return full_subcategory(cat, s)
 
 

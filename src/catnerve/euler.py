@@ -21,7 +21,6 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, intersect, union_closure
@@ -89,14 +88,13 @@ def rank(
 
 
 def solve_right(
-    m: Sequence[Mapping[int, int]], ncols: int, rhs: Sequence[Fraction],
-    free_value: Fraction = ZERO,
+    m: Sequence[Mapping[int, int]], ncols: int, rhs: Sequence[Fraction]
 ) -> Optional[tuple[Fraction, ...]]:
     """Exact solution of m x = rhs, or None iff the system is inconsistent.
 
     ``m`` is given as sparse rows over columns ``0 .. ncols - 1``.
     Underdetermined systems get the canonical solution with every free
-    (non-pivot) variable set to ``free_value`` (0 by default).
+    (non-pivot) variable set to 0.
     """
     if len(rhs) != len(m):
         raise ValueError("rhs length mismatch")
@@ -107,7 +105,7 @@ def solve_right(
     basis = _eliminate({**row, ncols: b} for row, b in zip(m, rhs))
     if ncols in basis:
         return None
-    x = [Fraction(free_value)] * ncols
+    x = [ZERO] * ncols
     for lead in sorted(basis, reverse=True):
         row = basis[lead]
         x[lead] = Fraction(row.get(ncols, 0)) - sum(
@@ -160,9 +158,7 @@ def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
     return order if len(order) == n else None
 
 
-def _solve(
-    z: Sequence[Mapping[int, int]], order: Optional[list[int]], side: str, free_value: Fraction
-) -> Optional[tuple]:
+def _solve(z: Sequence[Mapping[int, int]], order: Optional[list[int]], side: str) -> Optional[tuple]:
     """Weighting or coweighting for zeta ``z``; ``order`` from ``_triangular_order``.
 
     With ``order`` the system is triangular and solved by substitution,
@@ -175,7 +171,7 @@ def _solve(
     if order is None:
         if side == "coweight":
             z = _transpose(z, n)
-        return solve_right(z, n, [ONE] * n, free_value)
+        return solve_right(z, n, [ONE] * n)
     x = [1] * n
     if side == "weight":  # w_i = (1 - sum_{j after i} z_ij w_j) / z_ii
         for i in reversed(order):
@@ -192,15 +188,13 @@ def _solve(
     return tuple(x)
 
 
-def solve_weighting(
-    cat: FinCategory, side: str = "weight", free_value: Fraction = ZERO
-) -> Optional[tuple[Fraction, ...]]:
+def solve_weighting(cat: FinCategory, side: str = "weight") -> Optional[tuple[Fraction, ...]]:
     """Weighting (zeta w = 1) or coweighting (v zeta = 1) of a category."""
     if side not in ("weight", "coweight"):
         raise ValueError(f"side must be 'weight' or 'coweight', got {side!r}")
     z = zeta_matrix(cat)
     order = _triangular_order(z)
-    x = _solve(z, order, side, free_value)
+    x = _solve(z, order, side)
     return x if order is None else tuple(map(Fraction, x))
 
 
@@ -221,8 +215,8 @@ def euler_characteristic(cat: FinCategory) -> EulerResult:
     """
     z = zeta_matrix(cat)
     order = _triangular_order(z)
-    w = _solve(z, order, "weight", ZERO)
-    v = _solve(z, order, "coweight", ZERO)
+    w = _solve(z, order, "weight")
+    v = _solve(z, order, "coweight")
     if w is None or v is None:  # only the elimination finds no solution
         missing = [name for name, vec in (("weighting", w), ("coweighting", v)) if vec is None]
         return EulerResult(None, w, v, reason="no " + " and no ".join(missing))
@@ -244,7 +238,7 @@ def inclusion_exclusion_terms(
     return [
         (labels, euler_characteristic(cover.piece(labels)).chi)
         for n in range(len(cover.index_order))
-        for labels in combinations(cover.index_order, n + 1)
+        for labels in cover.tuples(n + 1, "reduced")
     ]
 
 

@@ -156,9 +156,6 @@ class FinCategory:
     def non_identities(self) -> list[Mor]:
         return [m for m in self.morphisms if m.name not in self._idnames]
 
-    def morphisms_from(self, x: str) -> list[Mor]:
-        return list(self._by_dom.get(x, ()))
-
     # -- constructions ---------------------------------------------------
 
     def opposite(self) -> "FinCategory":
@@ -214,12 +211,6 @@ class FunctorMap(NamedTuple):
     target: FinCategory
     object_map: dict[str, str]
     morphism_map: dict[str, str]
-
-    def apply_obj(self, x: str) -> str:
-        return self.object_map[x]
-
-    def apply_mor(self, f: str) -> str:
-        return self.morphism_map[f]
 
     def after(self, other: "FunctorMap") -> "FunctorMap":
         """Composite ``self after other`` (``other`` acts first)."""

@@ -11,7 +11,7 @@ composite inside the target intersection.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, is_cover
@@ -82,22 +82,20 @@ class ReducedGrothendieck:
     its own right.
     """
 
-    def __init__(self, cover: Cover, *, require_cover: bool = True):
-        if require_cover and not is_cover(cover):
+    def __init__(self, cover: Cover):
+        if not is_cover(cover):
             raise ValueError("parts do not cover the parent category")
         self.cover = cover
         parent = cover.parent
-        order = cover.index_order
 
         self.tuples: list[tuple[str, ...]] = [
-            t for n in range(len(order)) for t in combinations(order, n + 1)
+            t for n in range(len(cover.index_order)) for t in cover.tuples(n + 1, "reduced")
         ]
         self.piece: dict[tuple[str, ...], Subcategory] = {t: cover.piece(t) for t in self.tuples}
 
         # one GrObject per (tuple, object); its name is computed once
         fibers = {t: [GrObject(t, x) for x in self.piece[t].objects] for t in self.tuples}
         self.objects: list[GrObject] = [o for t in self.tuples for o in fibers[t]]
-        self.object_by_name = {o.name: o for o in self.objects}
 
         # the parent's non-empty hom-sets out of each object, codomains in
         # declaration order: the fiber pairs with nothing between them are
@@ -112,8 +110,8 @@ class ReducedGrothendieck:
         fiber_of = {t: {o.obj: o for o in fibers[t]} for t in self.tuples}
 
         self.morphisms: list[GrMorphism] = []  # non-identity only
-        self.morphism_by_name: dict[str, GrMorphism] = {}
         self._by_key: dict[tuple[str, str, str], str] = {}  # (src, tgt, component) -> name
+        self._components: dict[str, str] = {}  # name -> component, identities included
         for s in self.tuples:
             # the sub-tuples t of s, in the order of self.tuples; phi is
             # forced, as both tuples are strictly increasing
@@ -132,12 +130,13 @@ class ReducedGrothendieck:
                             if f not in in_t:
                                 continue
                             if f == idx:
-                                self._by_key[(src.name, tgt.name, f)] = f"id_{src.name}"
-                                continue
-                            m = GrMorphism(phi, f, src, tgt)
-                            self.morphisms.append(m)
-                            self.morphism_by_name[m.name] = m
-                            self._by_key[(src.name, tgt.name, f)] = m.name
+                                name = f"id_{src.name}"
+                            else:
+                                m = GrMorphism(phi, f, src, tgt)
+                                self.morphisms.append(m)
+                                name = m.name
+                            self._by_key[(src.name, tgt.name, f)] = name
+                            self._components[name] = f
 
         by_src: dict[str, list[GrMorphism]] = {}
         for m in self.morphisms:
@@ -157,14 +156,10 @@ class ReducedGrothendieck:
 
     def component_of(self, name: str) -> str:
         """Underlying parent morphism of a gr morphism (identities included)."""
-        m = self.morphism_by_name.get(name)
-        if m is not None:
-            return m.component
-        if name.startswith("id_"):
-            o = self.object_by_name.get(name[3:])
-            if o is not None:
-                return self.cover.parent.identity_name(o.obj)
-        raise ValueError(f"unknown gr morphism id: {name!r}")
+        try:
+            return self._components[name]
+        except KeyError:
+            raise ValueError(f"unknown gr morphism id: {name!r}") from None
 
     def indices_of(self, x: str) -> tuple[str, ...]:
         """All labels whose part contains x, in index order."""
@@ -176,7 +171,7 @@ class ReducedGrothendieck:
         """Project away the index data: objects and components survive."""
         parent = self.cover.parent
         object_map = {o.name: o.obj for o in self.objects}
-        morphism_map = {m.name: self.component_of(m.name) for m in self.category.morphisms}
+        morphism_map = {m.name: self._components[m.name] for m in self.category.morphisms}
         return FunctorMap(self.category, parent, object_map, morphism_map)
 
     def pi(self) -> FunctorMap:
@@ -234,14 +229,6 @@ def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationRep
     return ValidationReport(tuple(v), details=(f"checked {pairs} pairs",))
 
 
-def _check_descriptor(cover: Cover, d: OrderedGrObjectDescriptor, piece: Subcategory) -> None:
-    pos = [cover.position(a) for a in d.labels]
-    if any(a > b for a, b in zip(pos, pos[1:])):
-        raise ValueError(f"descriptor tuple {d.labels} is not weakly increasing")
-    if not piece.has_object(d.obj):
-        raise ValueError(f"object {d.obj!r} is not in the intersection of {d.labels}")
-
-
 def ordered_gr_hom(
     cover: Cover, X: OrderedGrObjectDescriptor, Y: OrderedGrObjectDescriptor
 ) -> list[tuple[tuple[int, ...], str]]:
@@ -251,10 +238,11 @@ def ordered_gr_hom(
     enumerates all order-preserving index maps compatible with the two
     tuples and pairs them with the component morphisms.
     """
-    xp = cover.piece(X.labels)  # raises on empty or unknown labels
-    yp = cover.piece(Y.labels)
-    _check_descriptor(cover, X, xp)
-    _check_descriptor(cover, Y, yp)
+    xp, yp = cover.piece(X.labels), cover.piece(Y.labels)  # raise on empty or unknown labels
+    for d, piece in ((X, xp), (Y, yp)):
+        cover.check_tuple(d.labels, "ordered")
+        if not piece.has_object(d.obj):
+            raise ValueError(f"object {d.obj!r} is not in the intersection of {d.labels}")
     n = len(X.labels) - 1
 
     phis: list[tuple[int, ...]] = []
@@ -301,7 +289,7 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
     rg = ReducedGrothendieck(cover)
     descriptors = []
     for length in range(1, max_len + 1):
-        for labels in combinations_with_replacement(cover.index_order, length):
+        for labels in cover.tuples(length, "ordered"):
             for x in cover.piece(labels).objects:
                 descriptors.append(OrderedGrObjectDescriptor(labels, x))
     v: list[Violation] = []
@@ -337,12 +325,8 @@ def reorder_iso(cover: Cover, order2: Sequence[str]) -> tuple[FunctorMap, Functo
         }
         morphism_map = {}
         for m in src.category.morphisms:
-            gm = src.morphism_by_name.get(m.name)
-            if gm is None:  # identity
-                morphism_map[m.name] = f"id_{object_map[m.dom]}"
-            else:
-                key = (object_map[gm.source.name], object_map[gm.target.name], gm.component)
-                morphism_map[m.name] = dst._by_key[key]
+            key = (object_map[m.dom], object_map[m.cod], src._components[m.name])
+            morphism_map[m.name] = dst._by_key[key]
         return FunctorMap(src.category, dst.category, object_map, morphism_map)
 
     return functor(rg1, rg2), functor(rg2, rg1)

@@ -4,11 +4,8 @@ from catnerve import cech
 from catnerve.cech import (
     IndexTuple,
     check_simplicial_identities,
-    compose_delta,
-    degeneracy_functor,
     delta_degeneracy,
     delta_face,
-    face_functor,
     induced_functor,
     level,
     level_piece,
@@ -78,7 +75,6 @@ def test_delta_maps():
     assert delta_face(1, 2) == (0, 2)
     assert delta_degeneracy(0, 0) == (0, 0)
     assert delta_degeneracy(1, 2) == (0, 1, 1, 2)
-    assert compose_delta((0, 2), (1,)) == (2,)
     with pytest.raises(ValueError):
         delta_face(3, 2)
     with pytest.raises(ValueError):
@@ -87,13 +83,13 @@ def test_delta_maps():
 
 def test_induced_functor_is_inclusion():
     cov = fx.counterexample_cover()
-    F = face_functor(cov, IndexTuple(("1", "2"), "ordinary"), 0)  # drop label 1
+    F = induced_functor(cov, delta_face(0, 1), IndexTuple(("1", "2"), "ordinary"))  # drop label 1
     assert F.source.objects == ("y",)
     assert set(F.target.objects) == {"y", "z"}
     assert F.object_map == {"y": "y"}
     assert validate_functor(F).ok
 
-    G = degeneracy_functor(cov, IndexTuple(("1",), "ordinary"), 0)
+    G = induced_functor(cov, delta_degeneracy(0, 0), IndexTuple(("1",), "ordinary"))
     assert G.source == G.target  # piece of (1,) equals piece of (1, 1)
     assert G.is_identity()
 

@@ -1,20 +1,21 @@
 import random
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from catnerve.covers import (
+    VARIANTS,
     Cover,
     Subcategory,
     classify_subcategory,
     complement,
-    empty_subcategory,
     filter_closure,
     full_subcategory,
     ideal_closure,
     intersect,
     is_cover,
-    membership_counts,
     opposite_subcategory,
     to_two_point_poset,
     two_point_poset,
@@ -64,7 +65,7 @@ def test_counterexample_parts_classification():
     assert classify_subcategory(d1) == (True, False)   # ideal, not filter
     assert classify_subcategory(d2) == (False, True)   # filter, not ideal
     assert classify_subcategory(whole_subcategory(c)) == (True, True)
-    assert classify_subcategory(empty_subcategory(c)) == (True, True)
+    assert classify_subcategory(Subcategory(c, (), ())) == (True, True)
     # non-full subcategories are classified as neither
     sub = Subcategory(c, ["x", "y"], ["id_x", "id_y"])
     assert classify_subcategory(sub) == (False, False)
@@ -146,9 +147,43 @@ def test_two_point_poset_classifier():
         to_two_point_poset(d2)  # a filter, not an ideal
 
 
-def test_membership_counts():
-    cov = fx.counterexample_cover()
-    assert membership_counts(cov) == {"x": 1, "y": 2, "z": 1}
+@pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())
+def test_cover_tuples_match_itertools_and_closed_form(name, cov):
+    labels = cov.index_order
+    k = len(labels)
+    references = {
+        "ordinary": (lambda n: product(labels, repeat=n), lambda n: k ** n),
+        "ordered": (lambda n: combinations_with_replacement(labels, n), lambda n: comb(k + n - 1, n)),
+        "reduced": (lambda n: combinations(labels, n), lambda n: comb(k, n)),
+    }
+    assert tuple(references) == VARIANTS
+    for variant, (reference, size) in references.items():
+        for n in range(1, 5):
+            tuples = list(cov.tuples(n, variant))
+            assert tuples == list(reference(n)), (variant, n)
+            assert len(tuples) == size(n), (variant, n)
+            for t in tuples:
+                cov.check_tuple(t, variant)
+    with pytest.raises(ValueError, match="unknown variant"):
+        cov.tuples(1, "bogus")  # at the call, before any iteration
+    with pytest.raises(ValueError, match="unknown variant"):
+        cov.check_tuple(labels[:1], "bogus")
+    with pytest.raises(ValueError, match="unknown cover label"):
+        cov.check_tuple(("no such label",), "ordinary")
+
+
+@pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())
+def test_cover_check_tuple_rejects_what_the_variant_forbids(name, cov):
+    a, b = cov.index_order[:2]
+    cov.check_tuple((b, a), "ordinary")
+    cov.check_tuple((a, a), "ordinary")
+    cov.check_tuple((a, a), "ordered")
+    with pytest.raises(ValueError, match="weakly increasing"):
+        cov.check_tuple((b, a), "ordered")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cov.check_tuple((b, a), "reduced")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cov.check_tuple((a, a), "reduced")
 
 
 def test_closures_are_classified_correctly():

@@ -42,7 +42,6 @@ def test_solve_right_unique():
 def test_solve_right_underdetermined_free_value_policy():
     m = [{0: 1, 1: 1}]
     assert solve_right(m, 2, [F(1)]) == (F(1), F(0))
-    assert solve_right(m, 2, [F(1)], free_value=F(7)) == (F(-6), F(7))
 
 
 def test_solve_right_inconsistent_is_none():
@@ -56,7 +55,7 @@ def test_solve_right_inconsistent_is_none():
 
 @st.composite
 def linear_systems(draw):
-    """(dense integer matrix, column count, rhs, free value); half the rhs lie in the image."""
+    """(dense integer matrix, column count, rhs); half the rhs lie in the image."""
     r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     entry = st.integers(-3, 3)
     m = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
@@ -65,8 +64,7 @@ def linear_systems(draw):
         b = [sum(a * x for a, x in zip(row, x0)) for row in m]
     else:
         b = draw(st.lists(entry, min_size=r, max_size=r))
-    free = draw(st.sampled_from([F(0), F(1), F(-2), F(1, 3)]))
-    return m, c, [F(v) for v in b], free
+    return m, c, [F(v) for v in b]
 
 
 def _rows(m, cols):
@@ -76,13 +74,13 @@ def _rows(m, cols):
 @settings(max_examples=300)
 @given(linear_systems())
 def test_solver_properties(system):
-    m, c, b, free = system
+    m, c, b = system
     rows = _rows(m, range(c))
     transposed = [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(c)]
     r = rank(rows)
     assert isinstance(r, int) and r == rank(transposed) <= min(len(m), c)
     augmented = [{**row, c: v} if v else row for row, v in zip(rows, b)]
-    x = solve_right(rows, c, b, free)
+    x = solve_right(rows, c, b)
     assert (x is None) == (rank(augmented) > r)
     if x is None:
         return
@@ -90,7 +88,7 @@ def test_solver_properties(system):
     assert [sum((a * v for a, v in zip(row, x)), F(0)) for row in m] == b
     for j in range(c):  # column j is free iff it adds nothing to the rank
         if rank(_rows(m, range(j + 1))) == rank(_rows(m, range(j))):
-            assert x[j] == free
+            assert x[j] == 0
 
 
 def test_zeta_counterexample():
@@ -278,9 +276,8 @@ def test_substitution_equals_elimination():
         assert _triangular_order(zeta_matrix(cat)) is not None, cat
         w, v = _eliminated(cat)
         for side, expected in (("weight", w), ("coweight", v)):
-            for free in (F(0), F(7), F(-1, 3)):  # no free variable: free_value never shows
-                got = solve_weighting(cat, side, free)
-                assert got == expected and all(type(x) is F for x in got), (cat, side, free)
+            got = solve_weighting(cat, side)
+            assert got == expected and all(type(x) is F for x in got), (cat, side)
         res = euler_characteristic(cat)
         assert res == EulerResult(sum(w, F(0)), w, v), cat
         assert repr(res.chi) == repr(sum(w, F(0))), cat
@@ -334,8 +331,7 @@ def test_triangular_substitution_with_a_non_unit_diagonal():
         assert _triangular_order(z) is not None, cat
         diagonals.append({row[i] for i, row in enumerate(z)})
         w, v = _eliminated(cat)
-        for free in (F(0), F(5)):
-            assert (solve_weighting(cat, "weight", free), solve_weighting(cat, "coweight", free)) == (w, v), cat
+        assert (solve_weighting(cat, "weight"), solve_weighting(cat, "coweight")) == (w, v), cat
         res = euler_characteristic(cat)
         assert res == EulerResult(sum(w, F(0)), w, v), cat
         assert all(type(x) is F for x in (res.chi, *res.weighting, *res.coweighting)), cat
@@ -362,7 +358,6 @@ def test_elimination_kept_where_zeta_is_not_triangular():
     no_id = FinCategory("N", ["x", "y"], [Mor("f", "x", "y"), Mor("id_y", "y", "y")], {"y": "id_y"}, {})
     assert zeta_matrix(no_id) == [{1: 1}, {1: 1}]
     assert solve_weighting(no_id, "weight") == (F(0), F(1))
-    assert solve_weighting(no_id, "weight", free_value=F(5)) == (F(5), F(1))
     assert euler_characteristic(no_id) == EulerResult(None, (F(0), F(1)), None, "no coweighting")
 
     for cat in (nw, nw.opposite(), cycle, cycle.opposite(), no_id):

@@ -343,7 +343,7 @@ def _perturb(rng: random.Random, cat: FinCategory) -> FinCategory:
             if rng.random() < 0.5:
                 # extraneous entries (h, c) for h out of cod g: the only
                 # extraneous entries the associativity walk of (g, f) reads
-                for h in cat.morphisms_from(cat.mor(g).cod):
+                for h in [m for m in cat.morphisms if m.dom == cat.mor(g).cod]:
                     comp.setdefault((h.name, c), rng.choice(names))
         elif kind == 2:
             del comp[key]

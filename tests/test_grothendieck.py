@@ -60,8 +60,6 @@ def test_require_cover():
     not_cov = Cover(c, ["1"], {"1": full_subcategory(c, ["x", "y"])})
     with pytest.raises(ValueError, match="do not cover"):
         ReducedGrothendieck(not_cov)
-    g = ReducedGrothendieck(not_cov, require_cover=False)
-    assert sorted(o.name for o in g.objects) == ["x@1", "y@1"]
 
 
 def test_component_and_indices():

@@ -212,7 +212,7 @@ def _ref_chains(cat: FinCategory, max_dim: Optional[int]) -> list[list[_RefChain
         nxt = []
         for ch in levels[d]:
             end = cat.mor(ch.morphisms[-1]).cod if ch.morphisms else ch.start
-            for m in cat.morphisms_from(end):
+            for m in [m for m in cat.morphisms if m.dom == end]:
                 if not cat.is_identity(m.name):
                     nxt.append(_RefChain(d + 1, ch.start, ch.morphisms + (m.name,)))
         if not nxt:

@@ -19,7 +19,7 @@ import catnerve
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-EXPORTS = 65
+EXPORTS = 61
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
