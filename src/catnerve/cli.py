@@ -51,14 +51,6 @@ def _load_cover(cat_path: str, cover_path: str) -> tuple[FinCategory, Cover]:
     return cat, cover
 
 
-def _betti_or_fail(cat: FinCategory, max_dim, what: str):
-    from .homotopy import betti_numbers
-
-    if max_dim is None and not cat.is_acyclic():
-        _fail(f"{what} is not acyclic; pass --max-dim to truncate", 1)
-    return betti_numbers(cat, max_dim)
-
-
 @click.group()
 def main() -> None:
     """Nerve and Euler characteristic toolkit for finite categories."""
@@ -214,9 +206,13 @@ def incl_excl(cat_file: str, cover_file: str) -> None:
 def homology(cat_file: str, max_dim) -> None:
     """Betti numbers of the nerve over the rationals."""
     from .euler import format_rational
+    from .homotopy import betti_numbers
 
     cat = _load_category(cat_file)
-    rep = _betti_or_fail(cat, max_dim, f"category {cat.name}")
+    try:
+        rep = betti_numbers(cat, max_dim)
+    except ValueError:  # without --max-dim the nerve of a non-acyclic category never ends
+        _fail(f"category {cat.name} is not acyclic; pass --max-dim to truncate", 1)
     click.echo("dim\tbasis\tbetti")
     for k, (n, b) in enumerate(zip(rep.basis_dims, rep.betti)):
         click.echo(f"{k}\t{n}\t{b}")
@@ -239,9 +235,10 @@ def nerve_compare(cat_file: str, cover_file: str, max_dim) -> None:
         g = ReducedGrothendieck(cover)
     except ValueError as e:
         _fail(str(e), 1)
-    if max_dim is None and (not cat.is_acyclic() or not g.category.is_acyclic()):
+    try:
+        cmpr = compare_homology(cat, g.category, max_dim)
+    except ValueError:  # without --max-dim a non-acyclic category has an endless nerve
         _fail("nerves are unbounded (a category involved is not acyclic); pass --max-dim", 1)
-    cmpr = compare_homology(cat, g.category, max_dim)
     n = cmpr.compared_through + 1
     left = " ".join(str(b) for b in (cmpr.left.betti + (0,) * n)[:n])
     right = " ".join(str(b) for b in (cmpr.right.betti + (0,) * n)[:n])

@@ -135,14 +135,9 @@ def intersect(parts: Sequence[Subcategory]) -> Subcategory:
     return Subcategory._unchecked(parent, objs, mors)
 
 
-def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
-    """Smallest subcategory containing every part.
-
-    Morphisms are generated by closing the union under the parent's
-    composition (finite chains of composable part morphisms).  The
-    result needs no check: identities and endpoints come from the
-    parts, and the loop closes it under composition.
-    """
+def _union_ids(parts: Sequence[Subcategory]) -> tuple[set[str], set[str]]:
+    """Object and morphism ids of the parts, the morphisms closed under
+    the parent's composition (finite chains of composable part morphisms)."""
     if not parts:
         raise ValueError("union_closure needs at least one part")
     parent = parts[0].parent
@@ -161,7 +156,17 @@ def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
             if g in mors and f in mors and h not in mors:
                 mors.add(h)
                 changed = True
-    return Subcategory._unchecked(parent, objs, mors)
+    return objs, mors
+
+
+def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
+    """Smallest subcategory containing every part.
+
+    The result needs no check: identities and endpoints come from the
+    parts, and ``_union_ids`` closes it under composition.
+    """
+    objs, mors = _union_ids(parts)
+    return Subcategory._unchecked(parts[0].parent, objs, mors)
 
 
 class Cover:
@@ -265,8 +270,8 @@ class Cover:
 
 def is_cover(cover: Cover) -> bool:
     """True iff the union-closure of the parts is the whole parent."""
-    u = union_closure(list(cover.parts.values()))
-    return u.objects == cover.parent.objects and u.morphisms == cover.parent.morphisms
+    objs, mors = _union_ids(list(cover.parts.values()))
+    return objs.issuperset(cover.parent._objset) and mors.issuperset(cover.parent._mors)
 
 
 def classify_subcategory(sub: Subcategory) -> Classification:

@@ -240,49 +240,11 @@ def identity_functor(cat: FinCategory) -> FunctorMap:
     )
 
 
-def _rows(cat: FinCategory) -> Optional[dict[str, dict[str, str]]]:
-    """The rows ``after[f] = {h: h o f}`` of a structurally sound table, else None.
-
-    Sound means: distinct ids, declared endpoints, an identity ``x -> x``
-    for every object and no other, every table entry composable with a
-    composite of the right endpoints, every composable pair tabulated,
-    and both identity laws.  Each row lists the arrows ``h`` out of
-    ``cod f`` in declaration order.
-    """
-    objects, identity, comp, mors, objset = cat.objects, cat.identity, cat.comp, cat._mors, cat._objset
-    if (len(objset) != len(objects) or len(mors) != len(cat.morphisms) or identity.keys() != objset
-            or not objset.issuperset(chain.from_iterable(cat._hom))):
-        return None
-    for x, i in identity.items():
-        if mors.get(i) != (i, x, x):
-            return None
-    dom: dict[str, str] = {}
-    cod: dict[str, str] = {}
-    out: dict[str, list[str]] = {x: [] for x in objects}
-    for f, x, y in cat.morphisms:
-        dom[f] = x
-        cod[f] = y
-        out[x].append(f)
-    after = {f: dict.fromkeys(out[y]) for f, y in cod.items()}
-    if sum(map(len, after.values())) != len(comp):  # one slot per composable pair
-        return None
-    try:
-        for (g, f), gf in comp.items():
-            if cod[f] != dom[g] or dom[gf] != dom[f] or cod[gf] != cod[g]:
-                return None
-            after[f][g] = gf  # a slot of its own: as many entries as slots fill them all
-    except KeyError:  # an id the table names is not declared
-        return None
-    for f, x, y in cat.morphisms:
-        if after[identity[x]][f] != f or after[f][identity[y]] != f:
-            return None
-    return after
-
-
 def _generators(cat: FinCategory, after: Mapping[str, Mapping[str, str]]) -> list[str]:
     """Arrows that, with the identities, give every arrow as a composite.
 
-    ``after`` holds the rows of ``_rows(cat)``.  Arrows are taken
+    ``after`` holds the rows ``after[f] = {h: h o f}`` of a structurally
+    sound table, as ``validate_category`` builds them.  Arrows are taken
     greedily, fewest factorisations ``g o f`` first (each non-identity
     arrow has exactly two with an identity factor, so this is the order
     by non-identity factorisations, and an arrow with none must be
@@ -313,141 +275,159 @@ def _generators(cat: FinCategory, after: Mapping[str, Mapping[str, str]]) -> lis
     return gens
 
 
-def _is_category(cat: FinCategory) -> bool:
-    """True exactly when ``validate_category`` finds no violation.
-
-    ``_rows`` checks every axiom but associativity; Light's test then
-    checks the triples whose middle arrow is one of ``_generators``
-    (see ``validate_category`` for why that suffices).
-    """
-    after = _rows(cat)
-    if after is None:
-        return False
-    into: dict[str, list[str]] = {x: [] for x in cat.objects}
-    for m in cat.morphisms:
-        into[m.cod].append(m.name)
-    for g in _generators(cat, after):
-        hg = list(after[g].values())  # h o g for the h out of cod g
-        for f in into[cat._mors[g].dom]:
-            af = after[f]  # (h o g) o f from it, h o (g o f) from the row of g o f
-            if list(map(af.__getitem__, hg)) != list(after[af[g]].values()):
-                return False
-    return True
-
-
 def validate_category(cat: FinCategory) -> ValidationReport:
     """Check all category axioms; the report names every violation.
 
-    A valid table is recognised first by ``_is_category``, which returns
-    the empty report at once.  It checks the structural axioms in one
-    pass over the table (``_rows``) and associativity only for the
-    triples ``(h, g, f)`` whose middle arrow ``g`` lies in a generating
-    set: Light's test (Clifford and Preston, *The Algebraic Theory of
-    Semigroups* I, 1961, section 1.2).  The test is exact.  In a total
-    table with correct endpoints and identity laws, the arrows ``g``
-    with ``(h o g) o f = h o (g o f)`` for all ``h`` and ``f`` include
-    the identities and are closed under composition: if ``g`` and
-    ``g'`` pass and ``g' o g`` is defined, then ``(h o (g' o g)) o f =
-    ((h o g') o g) o f = (h o g') o (g o f) = h o (g' o (g o f)) = h o
-    ((g' o g) o f)``.  So if every generator passes, every arrow does.
+    One pass proves the structural axioms and words each violation where
+    it finds it: distinct ids, declared endpoints, an identity ``x -> x``
+    for every object and no other, every table entry composable with a
+    composite of the right endpoints, every composable pair tabulated,
+    and both identity laws.  Each rule is first decided for the whole
+    table by a cheap test (set sizes and inclusions, each entry against
+    its slot in the rows ``after[f] = {h: h o f}`` for the ``h`` out of
+    ``cod f``) and walked item by item only when that test fails.
+    Malformed structure is reported, never thrown.
 
-    Any other table is walked in full, so the report words each defect.
-    Malformed structure (dangling ids, missing table entries) is
-    reported, never thrown, so the report can name every defect at
-    once.  Associativity is checked for every composable triple, one
-    table entry ``(g, f) = gf`` at a time: with ``after[x]`` holding
-    ``h o x`` for each ``h`` out of ``cod x``, the composites ``(h o g)
-    o f`` for all ``h`` at once are ``after[f]`` read at the values of
-    ``after[g]``, and they must equal the values of ``after[gf]``.  An
-    entry whose lists differ, or whose composite has the wrong
-    endpoints, is walked ``h`` by ``h`` to word its violations, so the
+    A structurally sound table is checked for associativity only on the
+    triples ``(h, g, f)`` whose middle arrow ``g`` is one of
+    ``_generators``: Light's test (Clifford and Preston, *The Algebraic
+    Theory of Semigroups* I, 1961, section 1.2).  The test is exact.  In
+    a total table with correct endpoints and identity laws, the arrows
+    ``g`` with ``(h o g) o f = h o (g o f)`` for all ``h`` and ``f``
+    include the identities and are closed under composition: if ``g``
+    and ``g'`` pass and ``g' o g`` is defined, then ``(h o (g' o g)) o f
+    = ((h o g') o g) o f = (h o g') o (g o f) = h o (g' o (g o f)) = h o
+    ((g' o g) o f)``.  So if every generator passes, every arrow does,
+    and the empty report is returned.
+
+    Otherwise every composable triple is checked, one table entry ``(g,
+    f) = gf`` at a time: ``(h o g) o f`` for all ``h`` at once is
+    ``after[f]`` read at the values of ``after[g]``, and must equal the
+    values of ``after[gf]``.  An entry whose lists differ, or whose
+    composite has the wrong endpoints, is walked ``h`` by ``h``, so the
     report names exactly the triples a per-triple loop would.
     """
-    if _is_category(cat):
-        return ValidationReport()
+    objects, morphisms, identity, comp, mors, objset, by_dom = (
+        cat.objects, cat.morphisms, cat.identity, cat.comp, cat._mors, cat._objset, cat._by_dom)
     v: list[Violation] = []
     add = v.append
 
-    seen: set[str] = set()
-    for x in cat.objects:
-        if x in seen:
-            add(Violation("objects-distinct", (x,), f"object id {x!r} declared twice"))
-        seen.add(x)
-    objset = set(cat.objects)
+    if len(objset) != len(objects):
+        seen: set[str] = set()
+        for x in objects:
+            if x in seen:
+                add(Violation("objects-distinct", (x,), f"object id {x!r} declared twice"))
+            seen.add(x)
 
-    mors: dict[str, Mor] = {}
-    for m in cat.morphisms:
-        if m.name in mors:
-            add(Violation("morphisms-distinct", (m.name,), f"morphism id {m.name!r} declared twice"))
-        mors[m.name] = m
-        for end, side in ((m.dom, "domain"), (m.cod, "codomain")):
-            if end not in objset:
-                add(Violation("endpoints", (m.name,), f"morphism {m.name!r} has unknown {side} {end!r}"))
+    twice = len(mors) != len(morphisms)
+    if twice or not objset.issuperset(chain.from_iterable(cat._hom)):
+        seen = set()
+        for m in morphisms:
+            if m.name in seen:
+                add(Violation("morphisms-distinct", (m.name,), f"morphism id {m.name!r} declared twice"))
+            seen.add(m.name)
+            for end, side in ((m.dom, "domain"), (m.cod, "codomain")):
+                if end not in objset:
+                    add(Violation("endpoints", (m.name,), f"morphism {m.name!r} has unknown {side} {end!r}"))
 
-    for x in cat.objects:
-        i = cat.identity.get(x)
+    for x in objects:
+        i = identity.get(x)
         if i is None:
             add(Violation("identity", (x,), f"object {x!r} has no identity"))
         elif i not in mors:
             add(Violation("identity", (x, i), f"identity {i!r} of {x!r} is not a declared morphism"))
-        else:
-            m = mors[i]
-            if m.dom != x or m.cod != x:
-                add(Violation("identity", (x, i), f"identity {i!r} of {x!r} has endpoints {m.dom!r} -> {m.cod!r}"))
-    for x in cat.identity:
+        elif (m := mors[i]) != (i, x, x):
+            add(Violation("identity", (x, i), f"identity {i!r} of {x!r} has endpoints {m.dom!r} -> {m.cod!r}"))
+    for x in identity:
         if x not in objset:
             add(Violation("identity", (x,), f"identity assigned to unknown object {x!r}"))
 
-    # Reported after the table entries' own violations, though found first.
-    laws: list[Violation] = []
-    comp = cat.comp
-    by_dom = cat._by_dom
-    after: dict[str, dict[str, Optional[str]]] = {}
-    for f in cat.morphisms:
-        row = after[f.name] = {}  # a name declared twice keeps its last declaration, as in mors
-        for g in by_dom.get(f.cod, ()):
-            if (gf := comp.get((g.name, f.name))) is None:
-                laws.append(Violation("composition-totality", (g.name, f.name), f"composition not total at ({g.name}, {f.name})"))
-            row[g.name] = gf
-
-    for m in cat.morphisms:
-        i_dom = cat.identity.get(m.dom)
-        i_cod = cat.identity.get(m.cod)
-        if i_dom is not None and comp.get((m.name, i_dom), m.name) != m.name:
-            laws.append(Violation("identity-law", (m.name,), f"{m.name} o {i_dom} = {comp[(m.name, i_dom)]} != {m.name}"))
-        if i_cod is not None and comp.get((i_cod, m.name), m.name) != m.name:
-            laws.append(Violation("identity-law", (m.name,), f"{i_cod} o {m.name} = {comp[(i_cod, m.name)]} != {m.name}"))
-
-    assoc: list[Violation] = []
+    # A name declared twice keeps its last declaration, as in ``mors``.
+    dom: dict[str, str] = {}
+    cod: dict[str, str] = {}
+    out: dict[str, list[str]] = {}
+    for f, x, y in morphisms:
+        dom[f] = x
+        cod[f] = y
+        out.setdefault(x, []).append(f)
+    after: dict[str, dict[str, Optional[str]]] = {f: dict.fromkeys(out.get(y, ())) for f, y in cod.items()}
+    bad_entries: dict[tuple[str, str], str] = {}
+    unslotted = 0
     for (g, f), gf in comp.items():
-        mg, mf, mgf = mors.get(g), mors.get(f), mors.get(gf)
-        if mg is None or mf is None or mgf is None:
-            missing = [n for n in (g, f, gf) if n not in mors]
+        try:
+            if cod[f] == dom[g] and dom[gf] == dom[f] and cod[gf] == cod[g]:
+                after[f][g] = gf  # a slot of its own
+                continue
+        except KeyError:  # an id the table names is not declared
+            pass
+        missing = [n for n in (g, f, gf) if n not in mors]
+        if missing:
             add(Violation(
                 "composition-reference", (g, f, gf),
                 f"entry ({g}, {f}) = {gf} references unknown morphism(s) {missing}",
             ))
-            continue
-        if mf.cod != mg.dom:
+        elif cod[f] != dom[g]:
             add(Violation("composition-extraneous", (g, f), f"composition defined for non-composable pair ({g}, {f})"))
-            continue
-        if mgf.dom != mf.dom or mgf.cod != mg.cod:
+        else:
             add(Violation("composition-endpoints", (g, f, gf), f"composite {gf} of ({g}, {f}) has wrong endpoints"))
-        elif list(map(after[f].get, after[g].values())) == list(after[gf].values()):
-            continue  # after[g] and after[gf] list the same h in the same order
-        for h in by_dom.get(mg.cod, ()):
-            hg = comp.get((h.name, g))
-            left = comp.get((h.name, gf))
-            right = comp.get((hg, f)) if hg is not None else None
-            if hg is None or left is None or right is None:
-                continue  # a totality violation already covers this triple
-            if left != right:
-                assoc.append(Violation(
+        bad_entries[g, f] = v[-1].rule
+        row = after.get(f, {})
+        if g in row:
+            row[g] = gf  # a row holds every entry naming one of its slots
+        else:
+            unslotted += 1
+
+    if twice or sum(map(len, after.values())) != len(comp) - unslotted:
+        for f in morphisms:  # each declaration: a name declared twice has one row, its last
+            for g in by_dom.get(f.cod, ()):
+                if (g.name, f.name) not in comp:
+                    add(Violation("composition-totality", (g.name, f.name), f"composition not total at ({g.name}, {f.name})"))
+    lawful = not v
+    if lawful:  # with sound structure the rows hold f o id and id o f
+        for f, x, y in morphisms:
+            if after[identity[x]][f] != f or after[f][identity[y]] != f:
+                lawful = False
+                break
+    if not lawful:
+        for f, x, y in morphisms:
+            i, j = identity.get(x), identity.get(y)  # a missing identity names no entry
+            if comp.get((f, i), f) != f:
+                add(Violation("identity-law", (f,), f"{f} o {i} = {comp[(f, i)]} != {f}"))
+            if comp.get((j, f), f) != f:
+                add(Violation("identity-law", (f,), f"{j} o {f} = {comp[(j, f)]} != {f}"))
+
+    if not v:  # a sound table: Light's test decides associativity
+        into: dict[str, list[str]] = {x: [] for x in objects}
+        for f, y in cod.items():
+            into[y].append(f)
+        for g in _generators(cat, after):
+            hg = list(after[g].values())  # h o g for the h out of cod g
+            for f in into[dom[g]]:
+                af = after[f]  # (h o g) o f from it, h o (g o f) from the row of g o f
+                if list(map(af.__getitem__, hg)) != list(after[af[g]].values()):
+                    break
+            else:
+                continue
+            break  # g fails: the walk below words every failing triple
+        else:
+            return ValidationReport()
+
+    for (g, f), gf in comp.items():
+        rule = bad_entries.get((g, f))
+        if rule is None:
+            if list(map(after[f].get, after[g].values())) == list(after[gf].values()):
+                continue  # after[g] and after[gf] list the same h in the same order
+        elif rule != "composition-endpoints":
+            continue
+        for h in by_dom.get(cod[g], ()):
+            left, right = comp.get((h.name, gf)), comp.get((comp.get((h.name, g)), f))
+            # a missing entry names no triple: a totality violation covers it
+            if left is not None and right is not None and left != right:
+                add(Violation(
                     "associativity", (h.name, g, f),
                     f"(({h.name} o {g}) o {f}) = {right} but ({h.name} o ({g} o {f})) = {left}",
                 ))
-
-    return ValidationReport(tuple(v + laws + assoc))
+    return ValidationReport(tuple(v))
 
 
 def validate_functor(F: FunctorMap) -> ValidationReport:

@@ -105,6 +105,53 @@ def test_cover_construction_and_is_cover():
         Cover(c, ["1"], {"1": full_subcategory(fx.poset_v(), ["a"])})
 
 
+def _ref_is_cover(cover: Cover) -> bool:
+    """Coverage read off the union-closure subcategory."""
+    u = union_closure(list(cover.parts.values()))
+    return u.objects == cover.parent.objects and u.morphisms == cover.parent.morphisms
+
+
+def _families(rng: random.Random, cover: Cover) -> list[Cover]:
+    """``cover``, the cover without one part, and the cover with one arrow
+    that is no composite of two non-identities taken out of every part
+    (nothing composes back to it, so that family never covers)."""
+    cat = cover.parent
+    families = [cover]
+    if len(cover.index_order) > 1:
+        rest = list(cover.index_order)
+        rest.remove(rng.choice(rest))
+        families.append(Cover(cat, rest, {a: cover.parts[a] for a in rest}))
+    composites = {gf for (g, f), gf in cat.comp.items() if not cat.is_identity(g) and not cat.is_identity(f)}
+    uncomposed = [m.name for m in cat.non_identities() if m.name not in composites]
+    if uncomposed:
+        gone = rng.choice(uncomposed)
+        parts = {a: Subcategory(cat, p.objects, [m.name for m in p.morphisms if m.name != gone])
+                 for a, p in cover.parts.items()}
+        families.append(Cover(cat, cover.index_order, parts))
+    return families
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["poset", "dag"]), st.booleans())
+def test_is_cover_matches_union_closure(seed, kind, ideal):
+    rng = random.Random(seed)
+    if kind == "poset":
+        cat = fx.random_poset(rng, rng.randint(2, 7))
+    else:
+        cat = fx.random_dag_category(rng, rng.randint(2, 5), max_morphisms=40)
+    cover = (fx.random_ideal_cover if ideal else fx.random_filter_cover)(rng, cat)
+    families = _families(rng, cover)
+    assert [is_cover(c) for c in families] == [_ref_is_cover(c) for c in families]
+    assert is_cover(cover)
+    if cat.non_identities():  # some arrow is no composite of non-identities
+        assert not is_cover(families[-1])
+
+
+@pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())
+def test_is_cover_matches_union_closure_on_fixtures(name, cov):
+    families = _families(random.Random(name), cov)
+    assert [is_cover(c) for c in families] == [_ref_is_cover(c) for c in families]
+
+
 def test_union_of_parts_without_closure_is_detected():
     # parts {x,y} and {y,z} miss k; union_closure adds it, so they do cover
     c = fx.counterexample_category()

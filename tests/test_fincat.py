@@ -9,8 +9,6 @@ from catnerve.fincat import (
     Mor,
     Violation,
     _generators,
-    _is_category,
-    _rows,
     identity_functor,
     validate_category,
     validate_functor,
@@ -328,12 +326,15 @@ def _times_cyclic(cat: FinCategory, m: int) -> FinCategory:
 
 
 def _perturb(rng: random.Random, cat: FinCategory) -> FinCategory:
-    """A copy of ``cat`` with one to four random defects in its table or arrows."""
+    """A copy of ``cat`` with one to four random defects in its objects,
+    arrows, identities or table."""
+    objects = list(cat.objects)
     mors = list(cat.morphisms)
+    identity = dict(cat.identity)
     comp = dict(cat.comp)
     names = [m.name for m in mors]
     for _ in range(rng.randint(1, 4)):
-        kind = rng.randrange(5) if comp else 3
+        kind = rng.randrange(10) if comp else rng.randrange(3, 10)
         key = g, f = rng.choice(list(comp)) if comp else ("", "")
         if kind == 0 and comp[key] in names:  # another arrow of the same hom-set
             gf = cat.mor(comp[key])
@@ -349,11 +350,23 @@ def _perturb(rng: random.Random, cat: FinCategory) -> FinCategory:
             del comp[key]
         elif kind == 3:  # extraneous or dangling
             comp[(rng.choice(names + ["ghost"]), rng.choice(names))] = rng.choice(names + ["ghost"])
-        else:
+        elif kind == 4:  # an arrow declared twice
             m = rng.choice(mors)
             ends = rng.choice([(m.dom, m.cod), (rng.choice(cat.objects), rng.choice(cat.objects))])
             mors.insert(rng.randrange(len(mors) + 1), Mor(m.name, *ends))
-    return FinCategory(cat.name, cat.objects, mors, cat.identity, comp)
+        elif kind == 5:  # an object declared twice
+            objects.insert(rng.randrange(len(objects) + 1), rng.choice(cat.objects))
+        elif kind == 6:  # an arrow with an unknown endpoint
+            i = rng.randrange(len(mors))
+            name, dom, cod = mors[i]
+            mors[i] = rng.choice([Mor(name, "nowhere", cod), Mor(name, dom, "nowhere")])
+        elif kind == 7:  # a missing identity
+            identity.pop(rng.choice(cat.objects), None)
+        elif kind == 8:  # an identity naming an undeclared arrow or one with other endpoints
+            identity[rng.choice(cat.objects)] = rng.choice(names + ["ghost"])
+        else:  # an identity for an unknown object
+            identity["nowhere"] = rng.choice(names)
+    return FinCategory(cat.name, objects, mors, identity, comp)
 
 
 def test_validate_matches_per_triple_reference():
@@ -364,15 +377,21 @@ def test_validate_matches_per_triple_reference():
     bases += [_times_cyclic(fx.random_poset(rng, rng.randint(3, 4)), rng.randint(2, 3)) for _ in range(4)]
     bases += [_times_cyclic(fx.fork_category(), 2), _times_cyclic(fx.delta_category(2), 3)]
     rules: set[str] = set()
+    messages: set[str] = set()
     for base in bases:
         assert validate_category(base).ok
         for _ in range(60):
             cat = _perturb(rng, base)
             got = [(x.rule, x.subject, x.message) for x in validate_category(cat).violations]
-            assert got == _per_triple_reference(cat), cat.comp
+            assert got == _per_triple_reference(cat), (cat.objects, cat.morphisms, cat.identity, cat.comp)
             rules.update(r for r, _, _ in got)
+            messages.update(m for _, _, m in got)
     assert {"associativity", "composition-endpoints", "composition-extraneous",
-            "composition-reference", "composition-totality", "morphisms-distinct"} <= rules
+            "composition-reference", "composition-totality", "endpoints", "identity",
+            "identity-law", "morphisms-distinct", "objects-distinct"} <= rules
+    for wording in ("has unknown domain", "has unknown codomain", "has no identity",
+                    "is not a declared morphism", "has endpoints", "assigned to unknown object"):
+        assert any(wording in m for m in messages), wording
 
 
 # -- the proof by Light's test vs the full report -----------------------------
@@ -396,6 +415,25 @@ def _reassociate(rng: random.Random, cat: FinCategory):
         return None
     key, other = rng.choice(choices)
     return FinCategory(cat.name, cat.objects, cat.morphisms, cat.identity, {**cat.comp, key: other})
+
+
+def _ref_rows(cat: FinCategory) -> dict[str, dict[str, str]]:
+    """The rows ``after[f] = {h: h o f}`` of a total table, for the
+    arrows ``h`` out of ``cod f`` in declaration order."""
+    return {f.name: {h.name: cat.comp[h.name, f.name] for h in cat.morphisms if h.dom == f.cod}
+            for f in cat.morphisms}
+
+
+def _holds_on(cat: FinCategory, middles) -> bool:
+    """Light's test on a total table: ``(h o g) o f = h o (g o f)`` for
+    every composable triple whose middle arrow ``g`` is in ``middles``."""
+    comp = cat.comp
+    return all(
+        comp[comp[h.name, g], f.name] == comp[h.name, comp[g, f.name]]
+        for g in middles
+        for f in cat.morphisms if f.cod == cat.mor(g).dom
+        for h in cat.morphisms if h.dom == cat.mor(g).cod
+    )
 
 
 def _reached(cat: FinCategory, gens) -> set[str]:
@@ -430,9 +468,9 @@ def _report(cat: FinCategory) -> list[tuple]:
 def test_proof_succeeds_exactly_when_the_report_is_ok(seed, kind):
     rng = random.Random(seed)
     base = _random_category(rng, kind)
-    after = _rows(base)
-    assert after is not None and _is_category(base)
-    gens = _generators(base, after)
+    assert validate_category(base).ok
+    gens = _generators(base, _ref_rows(base))
+    assert _holds_on(base, gens)
     assert _reached(base, gens) == {m.name for m in base.morphisms}
     composites = {gf for (g, f), gf in base.comp.items()
                   if not base.is_identity(g) and not base.is_identity(f)}
@@ -441,8 +479,10 @@ def test_proof_succeeds_exactly_when_the_report_is_ok(seed, kind):
     cats = [_perturb(rng, base) for _ in range(4)] + [_reassociate(rng, base) for _ in range(4)]
     for cat in filter(None, cats):
         ref = _per_triple_reference(cat)
-        assert _is_category(cat) == (not ref), cat.comp
+        assert validate_category(cat).ok == (not ref), cat.comp
         assert _report(cat) == ref, cat.comp
+        if all(rule == "associativity" for rule, _, _ in ref):  # sound structure
+            assert _holds_on(cat, _generators(cat, _ref_rows(cat))) == (not ref), cat.comp
 
 
 def test_report_names_failures_whose_middle_arrow_is_no_generator():
@@ -459,12 +499,11 @@ def test_report_names_failures_whose_middle_arrow_is_no_generator():
             cat = _reassociate(rng, base)
             if cat is None:
                 break
-            after = _rows(cat)
-            assert after is not None  # sound structure: only associativity can fail
             ref = _per_triple_reference(cat)
-            assert {rule for rule, _, _ in ref} <= {"associativity"}
-            assert _report(cat) == ref and _is_category(cat) == (not ref)
-            gens = set(_generators(cat, after))
+            assert {rule for rule, _, _ in ref} <= {"associativity"}  # sound structure
+            assert _report(cat) == ref and validate_category(cat).ok == (not ref)
+            gens = set(_generators(cat, _ref_rows(cat)))
+            assert _holds_on(cat, gens) == (not ref), cat.comp
             assert _reached(cat, gens) == {m.name for m in cat.morphisms}
             middles = {subject[1] for _, subject, _ in ref}
             if ref:

@@ -241,6 +241,47 @@ def test_cli_validate_reports_violations(tmp_path):
     assert "composition not total at (h, f)" in res.output
 
 
+BROKEN = """\
+category B
+objects x y z w x
+mor f : x -> y
+mor g : x -> y
+mor h : y -> z
+mor p : z -> w
+mor hf : x -> z
+mor ph : y -> w
+mor a : x -> w
+mor b : x -> w
+mor s : y -> nowhere
+mor id_w : w -> x
+comp h f = hf
+comp h g = hf
+comp p h = ph
+comp p hf = a
+comp ph f = b
+comp id_y f = g
+comp f h = hf
+comp h ghost = hf
+comp s f = h
+"""
+
+
+def test_cli_validate_prints_every_violation_of_the_reference(tmp_path):
+    from test_fincat import _per_triple_reference
+
+    bad = tmp_path / "broken.fincat"
+    bad.write_text(BROKEN)
+    ref = _per_triple_reference(parse_category(BROKEN, validate=False))
+    assert {rule for rule, _, _ in ref} == {
+        "objects-distinct", "morphisms-distinct", "endpoints", "identity", "composition-reference",
+        "composition-extraneous", "composition-endpoints", "composition-totality", "identity-law",
+        "associativity"}
+    res = run("validate", str(bad))
+    assert res.exit_code == 1
+    assert res.stdout == "".join(f"{rule}: {message}\n" for rule, _, message in ref)
+    assert res.stderr == ""
+
+
 def test_cli_parse_error_is_exit_2(tmp_path):
     bad = tmp_path / "bad.fincat"
     bad.write_text("category B\nwhatever\n")
@@ -396,10 +437,30 @@ def test_cli_homology_non_acyclic(tmp_path):
         "category Iso\nobjects x y\nmor f : x -> y\nmor g : y -> x\n"
         "comp g f = id_x\ncomp f g = id_y\n"
     )
-    assert run("homology", str(f)).exit_code == 1
+    res = run("homology", str(f))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == "error: category Iso is not acyclic; pass --max-dim to truncate\n"
     res = run("homology", str(f), "--max-dim", "2")
     assert res.exit_code == 0
     assert "truncated at dim 2" in res.output
+
+
+def test_cli_nerve_compare_non_acyclic(tmp_path):
+    f = tmp_path / "iso.fincat"
+    f.write_text(
+        "category Iso\nobjects x y\nmor f : x -> y\nmor g : y -> x\n"
+        "comp g f = id_x\ncomp f g = id_y\n"
+    )
+    c = tmp_path / "iso.cover"
+    c.write_text("cover U of Iso\npart 1 : x\npart 2 : x y\n")
+    res = run("nerve-compare", str(f), str(c))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == "error: nerves are unbounded (a category involved is not acyclic); pass --max-dim\n"
+    res = run("nerve-compare", str(f), str(c), "--max-dim", "1")
+    assert res.exit_code == 0
+    assert res.stdout.endswith("betti equal: 1 0\n")
 
 
 def test_cli_nerve_compare(files, tmp_path):
