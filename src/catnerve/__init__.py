@@ -25,11 +25,11 @@ _EXPORTS = {
         "whole_subcategory",
     ),
     "cech": (
-        "IndexTuple", "NerveLevelPiece", "check_simplicial_identities", "delta_face",
-        "delta_degeneracy", "induced_functor", "level", "level_piece",
+        "check_simplicial_identities", "delta_face", "delta_degeneracy", "induced_functor",
+        "level",
     ),
     "grothendieck": (
-        "GrMorphism", "GrObject", "OrderedGrObjectDescriptor", "ReducedGrothendieck",
+        "GrMorphism", "GrObject", "ReducedGrothendieck",
         "adjunction_check_R", "adjunction_check_pi", "ordered_gr_hom", "reduce_object",
         "reorder_iso",
     ),

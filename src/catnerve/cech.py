@@ -1,66 +1,25 @@
 """Cech nerve levels of a cover and their simplicial structure maps.
 
-A level-n piece is the intersection of the parts named by an
-(n+1)-tuple of labels, a ``Subcategory`` and so a category itself.
-Tuple discipline comes in the three variants of ``covers.VARIANTS``:
-``ordinary`` (arbitrary tuples), ``ordered`` (weakly increasing in the
-cover's label order) and ``reduced`` (strictly increasing); the cover
-enumerates and checks its tuples.  Structure maps are induced by
-order-preserving maps between finite ordinals and are always
-inclusions of intersections, functors between the pieces themselves.
+A level-n simplex is an (n+1)-tuple of labels with its piece, the
+intersection of the parts the tuple names (``Cover.piece``), a
+``Subcategory`` and so a category itself.  Tuple discipline comes in
+the three variants of ``covers.VARIANTS``: ``ordinary`` (arbitrary
+tuples), ``ordered`` (weakly increasing in the cover's label order) and
+``reduced`` (strictly increasing); the cover enumerates and checks its
+tuples.  Structure maps are induced by order-preserving maps between
+finite ordinals and are always inclusions of intersections, functors
+between the pieces themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .covers import VARIANTS, Cover, Subcategory
+from .covers import VARIANTS, Cover, Subcategory  # VARIANTS is also read as cech.VARIANTS
 from .fincat import FunctorMap, ValidationReport, Violation, identity_functor
 
 # ordinary levels grow like |labels|**(n+1); enumeration is capped
 DEFAULT_ORDINARY_CAP = 4
-
-
-@dataclass(frozen=True)
-class IndexTuple:
-    """A tuple of cover labels under one of the three tuple disciplines."""
-
-    labels: tuple[str, ...]
-    variant: str = "ordinary"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant: {self.variant!r}")
-        if not self.labels:
-            raise ValueError("index tuples are nonempty (levels start at 0)")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True, eq=False)
-class NerveLevelPiece:
-    """One summand of a nerve level: the tuple and the intersection."""
-
-    tuple: IndexTuple
-    category: Subcategory
-
-    def __eq__(self, other):
-        if not isinstance(other, NerveLevelPiece):
-            return NotImplemented
-        return self.tuple == other.tuple and self.category == other.category
-
-
-def level_piece(cover: Cover, t: IndexTuple) -> NerveLevelPiece:
-    """The intersection of the parts named by the tuple.
-
-    Empty intersections are materialized, not skipped.  The piece is
-    the cover's own (``Cover.piece``), shared with every tuple on the
-    same label set.
-    """
-    cover.check_tuple(t.labels, t.variant)
-    return NerveLevelPiece(t, cover.piece(t.labels))
 
 
 def level(
@@ -69,15 +28,19 @@ def level(
     variant: str = "ordinary",
     *,
     ordinary_cap: int = DEFAULT_ORDINARY_CAP,
-) -> list[NerveLevelPiece]:
-    """All pieces at level n, tuples in lexicographic label order."""
+) -> list[tuple[tuple[str, ...], Subcategory]]:
+    """All ``(labels, piece)`` pairs at level n, tuples in lexicographic
+    label order.
+
+    Empty intersections are materialized, not skipped.  Each piece is
+    the cover's own, shared with every tuple on the same label set.
+    """
     if n < 0:
         raise ValueError("level must be >= 0")
     if variant == "ordinary" and n > ordinary_cap:
         raise ValueError(f"ordinary level {n} exceeds the enumeration cap {ordinary_cap}")
     # the cover's own tuples need no check
-    return [NerveLevelPiece(IndexTuple(t, variant), cover.piece(t))
-            for t in cover.tuples(n + 1, variant)]
+    return [(t, cover.piece(t)) for t in cover.tuples(n + 1, variant)]
 
 
 # -- maps of finite ordinals ----------------------------------------------
@@ -96,16 +59,18 @@ def delta_degeneracy(j: int, n: int) -> tuple[int, ...]:
     return tuple(k if k <= j else k - 1 for k in range(n + 2))
 
 
-def induced_functor(cover: Cover, phi: Sequence[int], t: IndexTuple) -> FunctorMap:
-    """Structure map of the nerve for phi: [m] -> [n] at the tuple t.
+def induced_functor(
+    cover: Cover, phi: Sequence[int], labels: Sequence[str], variant: str = "ordinary"
+) -> FunctorMap:
+    """Structure map of the nerve for phi: [m] -> [n] at a tuple of the variant.
 
     Relabelling a tuple along phi only ever drops or repeats labels, so
     the source intersection sits inside the target intersection and the
     functor is the inclusion.  Its source and target are the cover's
     own pieces, not copies.
     """
-    cover.check_tuple(t.labels, t.variant)
-    n = len(t.labels) - 1
+    cover.check_tuple(labels, variant)
+    n = len(labels) - 1
     phi = tuple(phi)
     if not phi:
         raise ValueError("phi must be nonempty")
@@ -114,11 +79,11 @@ def induced_functor(cover: Cover, phi: Sequence[int], t: IndexTuple) -> FunctorM
             raise ValueError(f"phi value {p} out of range for a tuple of length {n + 1}")
     if any(a > b for a, b in zip(phi, phi[1:])):
         raise ValueError(f"phi {phi} is not order-preserving")
-    if t.variant == "reduced" and any(a >= b for a, b in zip(phi, phi[1:])):
+    if variant == "reduced" and any(a >= b for a, b in zip(phi, phi[1:])):
         raise ValueError("reduced-variant structure maps must be injective")
     # an order-preserving phi (injective where reduced) keeps the variant
-    tgt = cover.piece([t.labels[p] for p in phi])
-    return identity_functor(cover.piece(t.labels))._replace(target=tgt)
+    tgt = cover.piece([labels[p] for p in phi])
+    return identity_functor(cover.piece(labels))._replace(target=tgt)
 
 
 def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordinary") -> ValidationReport:
@@ -133,23 +98,22 @@ def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordi
     v: list[Violation] = []
     checked = 0
 
-    def run(t: IndexTuple, first: Sequence[int], second: Sequence[int]) -> tuple[FunctorMap, tuple[str, ...]]:
+    def run(t: tuple[str, ...], first: Sequence[int], second: Sequence[int]) -> tuple[FunctorMap, tuple[str, ...]]:
         # apply ``first`` at t, then ``second`` at the relabelled tuple
-        f1 = induced_functor(cover, first, t)
-        labels1 = tuple(t.labels[p] for p in first)
-        f2 = induced_functor(cover, second, IndexTuple(labels1, t.variant))
+        f1 = induced_functor(cover, first, t, variant)
+        labels1 = tuple(t[p] for p in first)
+        f2 = induced_functor(cover, second, labels1, variant)
         return f2.after(f1), tuple(labels1[p] for p in second)
 
     for length in range(1, up_to_n + 2):
         n = length - 1
         for labels in cover.tuples(length, variant):
-            t = IndexTuple(labels, variant)
             if n >= 2:
                 for j in range(n + 1):
                     for i in range(j):
                         checked += 1
-                        lhs, tl = run(t, delta_face(j, n), delta_face(i, n - 1))
-                        rhs, tr = run(t, delta_face(i, n), delta_face(j - 1, n - 1))
+                        lhs, tl = run(labels, delta_face(j, n), delta_face(i, n - 1))
+                        rhs, tr = run(labels, delta_face(i, n), delta_face(j - 1, n - 1))
                         if lhs != rhs or tl != tr:
                             v.append(Violation("simplicial-dd", labels + (str(i), str(j)),
                                                f"d_{i} d_{j} != d_{j - 1} d_{i} at {labels}"))
@@ -158,24 +122,24 @@ def check_simplicial_identities(cover: Cover, up_to_n: int, variant: str = "ordi
             for j in range(n + 1):
                 for i in range(j + 1):
                     checked += 1
-                    lhs, tl = run(t, delta_degeneracy(j, n), delta_degeneracy(i, n + 1))
-                    rhs, tr = run(t, delta_degeneracy(i, n), delta_degeneracy(j + 1, n + 1))
+                    lhs, tl = run(labels, delta_degeneracy(j, n), delta_degeneracy(i, n + 1))
+                    rhs, tr = run(labels, delta_degeneracy(i, n), delta_degeneracy(j + 1, n + 1))
                     if lhs != rhs or tl != tr:
                         v.append(Violation("simplicial-ss", labels + (str(i), str(j)),
                                            f"s_{i} s_{j} != s_{j + 1} s_{i} at {labels}"))
             for j in range(n + 1):
                 for i in range(n + 2):
                     checked += 1
-                    lhs, tl = run(t, delta_degeneracy(j, n), delta_face(i, n + 1))
+                    lhs, tl = run(labels, delta_degeneracy(j, n), delta_face(i, n + 1))
                     if i in (j, j + 1):
-                        if lhs != identity_functor(cover.piece(labels)) or tl != t.labels:
+                        if lhs != identity_functor(cover.piece(labels)) or tl != labels:
                             v.append(Violation("simplicial-ds", labels + (str(i), str(j)),
                                                f"d_{i} s_{j} != id at {labels}"))
                         continue
                     if i < j:
-                        rhs, tr = run(t, delta_face(i, n), delta_degeneracy(j - 1, n - 1))
+                        rhs, tr = run(labels, delta_face(i, n), delta_degeneracy(j - 1, n - 1))
                     else:
-                        rhs, tr = run(t, delta_face(i - 1, n), delta_degeneracy(j, n - 1))
+                        rhs, tr = run(labels, delta_face(i - 1, n), delta_degeneracy(j, n - 1))
                     if lhs != rhs or tl != tr:
                         v.append(Violation("simplicial-ds", labels + (str(i), str(j)),
                                            f"d_{i} s_{j} mismatch at {labels}"))

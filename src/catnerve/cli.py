@@ -135,9 +135,9 @@ def cech(cat_file: str, cover_file: str, level_n: int, variant: str) -> None:
     except ValueError as e:
         _fail(str(e), 2)
     click.echo(f"variant {variant}, level {level_n}: {len(pieces)} pieces")
-    for p in pieces:
-        objs = " ".join(p.category.objects) or "-"
-        click.echo(f"({','.join(p.tuple.labels)}): objects {objs}")
+    for labels, piece in pieces:
+        objs = " ".join(piece.objects) or "-"
+        click.echo(f"({','.join(labels)}): objects {objs}")
 
 
 @main.command()

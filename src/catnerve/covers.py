@@ -202,12 +202,6 @@ class Cover:
         self._pos = {a: i for i, a in enumerate(self.index_order)}
         self._pieces: dict[frozenset[str], Subcategory] = {}
 
-    def part(self, label: str) -> Subcategory:
-        try:
-            return self.parts[label]
-        except KeyError:
-            raise ValueError(f"unknown cover label: {label!r}") from None
-
     def position(self, label: str) -> int:
         try:
             return self._pos[label]

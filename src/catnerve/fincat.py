@@ -84,10 +84,8 @@ class FinCategory:
         self._objset = frozenset(self.objects)
         self._idnames = frozenset(self.identity.values())
         self._hom: dict[tuple[str, str], list[str]] = {}
-        self._by_dom: dict[str, list[Mor]] = {}
         for m in self.morphisms:
             self._hom.setdefault((m.dom, m.cod), []).append(m.name)
-            self._by_dom.setdefault(m.dom, []).append(m)
 
     @classmethod
     def build(
@@ -307,8 +305,8 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     composite has the wrong endpoints, is walked ``h`` by ``h``, so the
     report names exactly the triples a per-triple loop would.
     """
-    objects, morphisms, identity, comp, mors, objset, by_dom = (
-        cat.objects, cat.morphisms, cat.identity, cat.comp, cat._mors, cat._objset, cat._by_dom)
+    objects, morphisms, identity, comp, mors, objset = (
+        cat.objects, cat.morphisms, cat.identity, cat.comp, cat._mors, cat._objset)
     v: list[Violation] = []
     add = v.append
 
@@ -345,7 +343,7 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     # A name declared twice keeps its last declaration, as in ``mors``.
     dom: dict[str, str] = {}
     cod: dict[str, str] = {}
-    out: dict[str, list[str]] = {}
+    out: dict[str, list[str]] = {}  # the arrows out of each object, one per declaration
     for f, x, y in morphisms:
         dom[f] = x
         cod[f] = y
@@ -378,10 +376,10 @@ def validate_category(cat: FinCategory) -> ValidationReport:
             unslotted += 1
 
     if twice or sum(map(len, after.values())) != len(comp) - unslotted:
-        for f in morphisms:  # each declaration: a name declared twice has one row, its last
-            for g in by_dom.get(f.cod, ()):
-                if (g.name, f.name) not in comp:
-                    add(Violation("composition-totality", (g.name, f.name), f"composition not total at ({g.name}, {f.name})"))
+        for f, _, y in morphisms:  # each declaration: a name declared twice has one row, its last
+            for g in out.get(y, ()):
+                if (g, f) not in comp:
+                    add(Violation("composition-totality", (g, f), f"composition not total at ({g}, {f})"))
     lawful = not v
     if lawful:  # with sound structure the rows hold f o id and id o f
         for f, x, y in morphisms:
@@ -419,13 +417,13 @@ def validate_category(cat: FinCategory) -> ValidationReport:
                 continue  # after[g] and after[gf] list the same h in the same order
         elif rule != "composition-endpoints":
             continue
-        for h in by_dom.get(cod[g], ()):
-            left, right = comp.get((h.name, gf)), comp.get((comp.get((h.name, g)), f))
+        for h in out.get(cod[g], ()):
+            left, right = comp.get((h, gf)), comp.get((comp.get((h, g)), f))
             # a missing entry names no triple: a totality violation covers it
             if left is not None and right is not None and left != right:
                 add(Violation(
-                    "associativity", (h.name, g, f),
-                    f"(({h.name} o {g}) o {f}) = {right} but ({h.name} o ({g} o {f})) = {left}",
+                    "associativity", (h, g, f),
+                    f"(({h} o {g}) o {f}) = {right} but ({h} o ({g} o {f})) = {left}",
                 ))
     return ValidationReport(tuple(v))
 

@@ -25,10 +25,12 @@ class _GrObjectFields(NamedTuple):
 
 
 class GrObject(_GrObjectFields):
-    """A fiber object sitting over a strictly increasing label tuple.
+    """A fiber object sitting over a strictly or weakly increasing label tuple.
 
     ``GrObject(labels, obj)``; its ``name`` ``obj@a0,a1,...`` is
-    computed once, at construction.
+    computed once, at construction.  Objects of ``gr`` sit over strictly
+    increasing tuples; the ordered nerve's objects, over weakly
+    increasing ones, are never materialized as a category.
     """
 
     __slots__ = ()
@@ -65,13 +67,6 @@ class GrMorphism(_GrMorphismFields):
 
     def __getnewargs__(self) -> tuple:
         return self[:4]
-
-
-class OrderedGrObjectDescriptor(NamedTuple):
-    """A fiber object over a weakly increasing label tuple (never materialized)."""
-
-    labels: tuple[str, ...]
-    obj: str
 
 
 class ReducedGrothendieck:
@@ -229,9 +224,7 @@ def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationRep
     return ValidationReport(tuple(v), details=(f"checked {pairs} pairs",))
 
 
-def ordered_gr_hom(
-    cover: Cover, X: OrderedGrObjectDescriptor, Y: OrderedGrObjectDescriptor
-) -> list[tuple[tuple[int, ...], str]]:
+def ordered_gr_hom(cover: Cover, X: GrObject, Y: GrObject) -> list[tuple[tuple[int, ...], str]]:
     """Hom-set between fibers of the ordered nerve, as (phi, component) pairs.
 
     The ordered total category itself is never materialized; this
@@ -263,7 +256,7 @@ def ordered_gr_hom(
     return [(phi, f) for phi in phis for f in fs]
 
 
-def reduce_object(X: OrderedGrObjectDescriptor) -> tuple[GrObject, tuple[int, ...]]:
+def reduce_object(X: GrObject) -> tuple[GrObject, tuple[int, ...]]:
     """Deduplicate a weakly increasing tuple; return the witness surjection.
 
     ``psi[j]`` is the position of the j-th original label in the
@@ -287,23 +280,22 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     rg = ReducedGrothendieck(cover)
-    descriptors = []
+    descriptors = []  # each ordered descriptor with the name of its reduction
     for length in range(1, max_len + 1):
         for labels in cover.tuples(length, "ordered"):
             for x in cover.piece(labels).objects:
-                descriptors.append(OrderedGrObjectDescriptor(labels, x))
+                Y = GrObject(labels, x)
+                descriptors.append((Y, reduce_object(Y)[0].name))
     v: list[Violation] = []
     pairs = 0
     for Z in rg.objects:
-        zd = OrderedGrObjectDescriptor(Z.labels, Z.obj)
-        for Y in descriptors:
+        for Y, ry in descriptors:
             pairs += 1
-            ry, _ = reduce_object(Y)
-            lhs = len(rg.category.hom_set(Z.name, ry.name))
-            rhs = len(ordered_gr_hom(cover, zd, Y))
+            lhs = len(rg.category.hom_set(Z.name, ry))
+            rhs = len(ordered_gr_hom(cover, Z, Y))
             if lhs != rhs:
                 v.append(Violation(
-                    "adjunction-R", (Z.name, f"{Y.obj}@{','.join(Y.labels)}"),
+                    "adjunction-R", (Z.name, Y.name),
                     f"reduced hom has {lhs} morphisms, ordered hom has {rhs}",
                 ))
     return ValidationReport(tuple(v), details=(f"checked {pairs} pairs",))

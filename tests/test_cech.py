@@ -2,13 +2,11 @@ import pytest
 
 from catnerve import cech
 from catnerve.cech import (
-    IndexTuple,
     check_simplicial_identities,
     delta_degeneracy,
     delta_face,
     induced_functor,
     level,
-    level_piece,
 )
 from catnerve.covers import Cover, full_subcategory
 from catnerve.fincat import FinCategory, FunctorMap, validate_functor
@@ -39,25 +37,31 @@ def test_level_guards():
 
 def test_tuple_constraints():
     cov = fx.counterexample_cover()
-    with pytest.raises(ValueError):
-        level_piece(cov, IndexTuple(("2", "1"), "ordered"))
-    with pytest.raises(ValueError):
-        level_piece(cov, IndexTuple(("1", "1"), "reduced"))
-    with pytest.raises(ValueError):
-        level_piece(cov, IndexTuple(("9",), "ordinary"))
-    with pytest.raises(ValueError):
-        IndexTuple((), "ordinary")
-    with pytest.raises(ValueError):
-        IndexTuple(("1",), "bogus")
+    for check in (lambda t, variant: induced_functor(cov, (0,), t, variant), cov.check_tuple):
+        with pytest.raises(ValueError, match="not weakly increasing"):
+            check(("2", "1"), "ordered")
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            check(("1", "1"), "reduced")
+        with pytest.raises(ValueError, match="unknown cover label: '9'"):
+            check(("9",), "ordinary")
+        with pytest.raises(ValueError, match="unknown variant: 'bogus'"):
+            check(("1",), "bogus")
+    with pytest.raises(ValueError, match="at least one label"):
+        cov.piece(())
+    with pytest.raises(ValueError, match="out of range"):
+        induced_functor(cov, (0,), ())
+    with pytest.raises(ValueError, match="nonempty"):
+        induced_functor(cov, (), ())
+    assert induced_functor(cov, (0,), ("1", "1"), "ordered").target == cov.parts["1"]
 
 
 def test_level_piece_contents():
     cov = fx.counterexample_cover()
-    p = level_piece(cov, IndexTuple(("1", "2"), "reduced"))
-    assert p.category.objects == ("y",)
+    [(labels, piece)] = level(cov, 1, "reduced")
+    assert labels == ("1", "2") and piece.objects == ("y",)
+    assert piece is cov.piece(labels)
     # degenerate ordinary tuple intersects a part with itself
-    q = level_piece(cov, IndexTuple(("1", "1"), "ordinary"))
-    assert q.category == cov.parts["1"]
+    assert (("1", "1"), cov.parts["1"]) in level(cov, 1, "ordinary")
 
 
 def test_empty_intersections_are_materialized():
@@ -66,7 +70,7 @@ def test_empty_intersections_are_materialized():
                 {"1": full_subcategory(two, ["x"]), "2": full_subcategory(two, ["y"])})
     pieces = level(cov, 1, "reduced")
     assert len(pieces) == 1
-    assert pieces[0].category.objects == ()
+    assert pieces[0][1].objects == ()
 
 
 def test_delta_maps():
@@ -83,20 +87,20 @@ def test_delta_maps():
 
 def test_induced_functor_is_inclusion():
     cov = fx.counterexample_cover()
-    F = induced_functor(cov, delta_face(0, 1), IndexTuple(("1", "2"), "ordinary"))  # drop label 1
+    F = induced_functor(cov, delta_face(0, 1), ("1", "2"))  # drop label 1
     assert F.source.objects == ("y",)
     assert set(F.target.objects) == {"y", "z"}
     assert F.object_map == {"y": "y"}
     assert validate_functor(F).ok
 
-    G = induced_functor(cov, delta_degeneracy(0, 0), IndexTuple(("1",), "ordinary"))
+    G = induced_functor(cov, delta_degeneracy(0, 0), ("1",), "ordinary")
     assert G.source == G.target  # piece of (1,) equals piece of (1, 1)
     assert G.is_identity()
 
 
 def test_induced_functor_guards():
     cov = fx.counterexample_cover()
-    t = IndexTuple(("1", "2"), "ordinary")
+    t = ("1", "2")
     with pytest.raises(ValueError, match="out of range"):
         induced_functor(cov, (0, 5), t)
     with pytest.raises(ValueError, match="order-preserving"):
@@ -104,7 +108,7 @@ def test_induced_functor_guards():
     with pytest.raises(ValueError, match="nonempty"):
         induced_functor(cov, (), t)
     with pytest.raises(ValueError, match="injective"):
-        induced_functor(cov, (0, 0), IndexTuple(("1", "2"), "reduced"))
+        induced_functor(cov, (0, 0), t, "reduced")
     # weakly increasing phi is fine outside the reduced variant
     assert induced_functor(cov, (0, 0), t) is not None
 
@@ -126,8 +130,8 @@ def test_fault_injection_is_detected(monkeypatch):
     cov = fx.counterexample_cover()
     real = cech.induced_functor
 
-    def broken(cover, phi, t):
-        F = real(cover, phi, t)
+    def broken(cover, phi, labels, variant):
+        F = real(cover, phi, labels, variant)
         if len(set(phi)) < len(tuple(phi)):  # proper degeneracies lose content
             mm = {
                 m: (m if F.source.is_identity(m)

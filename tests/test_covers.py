@@ -93,8 +93,6 @@ def test_cover_construction_and_is_cover():
     assert is_cover(cov)
     assert cov.index_order == ("1", "2")
     assert cov.position("2") == 1
-    with pytest.raises(ValueError):
-        cov.part("9")
     not_covering = Cover(c, ["1"], {"1": full_subcategory(c, ["x", "y"])})
     assert not is_cover(not_covering)
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from catnerve.euler import euler_characteristic, inclusion_exclusion_sum
 from catnerve.fincat import validate_category, validate_functor
 from catnerve.grothendieck import (
     GrObject,
-    OrderedGrObjectDescriptor,
     ReducedGrothendieck,
     adjunction_check_R,
     adjunction_check_pi,
@@ -113,34 +112,32 @@ def test_ordered_gr_hom_counts():
     cov = fx.counterexample_cover()
     # ordered fiber over (1,1) at y down to (1,) at y: two surjective phis? no --
     # phi must be order-preserving [0] -> [1] picking a position with label 1: two of them
-    X = OrderedGrObjectDescriptor(("1", "1"), "y")
-    Y = OrderedGrObjectDescriptor(("1",), "y")
+    X = GrObject(("1", "1"), "y")
+    Y = GrObject(("1",), "y")
     homs = ordered_gr_hom(cov, X, Y)
     assert sorted(h[0] for h in homs) == [(0,), (1,)]
     assert {h[1] for h in homs} == {"id_y"}
     # no maps when the component would leave the target piece
-    Z = OrderedGrObjectDescriptor(("2",), "z")
-    assert ordered_gr_hom(cov, OrderedGrObjectDescriptor(("1",), "x"), Z) == []
+    Z = GrObject(("2",), "z")
+    assert ordered_gr_hom(cov, GrObject(("1",), "x"), Z) == []
 
 
 def test_ordered_gr_hom_guards():
     cov = fx.counterexample_cover()
     with pytest.raises(ValueError, match="weakly increasing"):
-        ordered_gr_hom(cov, OrderedGrObjectDescriptor(("2", "1"), "y"),
-                       OrderedGrObjectDescriptor(("1",), "y"))
+        ordered_gr_hom(cov, GrObject(("2", "1"), "y"), GrObject(("1",), "y"))
     with pytest.raises(ValueError, match="not in the intersection"):
-        ordered_gr_hom(cov, OrderedGrObjectDescriptor(("1",), "z"),
-                       OrderedGrObjectDescriptor(("1",), "y"))
+        ordered_gr_hom(cov, GrObject(("1",), "z"), GrObject(("1",), "y"))
 
 
 def test_reduce_object():
-    r, psi = reduce_object(OrderedGrObjectDescriptor(("1", "1", "2"), "y"))
+    r, psi = reduce_object(GrObject(("1", "1", "2"), "y"))
     assert r == GrObject(("1", "2"), "y")
     assert psi == (0, 0, 1)
-    r2, psi2 = reduce_object(OrderedGrObjectDescriptor(("1",), "x"))
+    r2, psi2 = reduce_object(GrObject(("1",), "x"))
     assert r2.labels == ("1",) and psi2 == (0,)
     with pytest.raises(ValueError, match="non-adjacently"):
-        reduce_object(OrderedGrObjectDescriptor(("1", "2", "1"), "y"))
+        reduce_object(GrObject(("1", "2", "1"), "y"))
 
 
 @pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())

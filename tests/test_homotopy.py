@@ -1,13 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
 from catnerve.euler import rank
-from catnerve.fincat import FinCategory, Mor
+from catnerve.fincat import FinCategory, Mor, validate_category
 from catnerve.grothendieck import ReducedGrothendieck
 from catnerve.homotopy import (
     betti_numbers,
@@ -49,6 +53,30 @@ def test_nerve_chains_guards():
     with pytest.raises(ValueError):
         nerve_chains(fx.poset_v(), max_dim=-1)
     assert [len(l) for l in nerve_chains(walking_iso(), max_dim=3)] == [2, 2, 2, 2]
+
+
+def test_nerve_chains_refuses_an_unvalidated_cycle():
+    # x -> y -> z -> x with no composites: not a category, and
+    # ``is_acyclic`` sees no endomorphism and no two-way pair in it.
+    # betti_numbers runs in a subprocess with a timeout, so that
+    # enumerating the cycle's chains without end fails the test instead
+    # of hanging it.
+    arrows = [("f", "x", "y"), ("g", "y", "z"), ("h", "z", "x")]
+    code = ("from catnerve.fincat import FinCategory\n"
+            "from catnerve.homotopy import betti_numbers\n"
+            f"cat = FinCategory.build('C3', ['x', 'y', 'z'], {arrows!r})\n"
+            "try:\n"
+            "    betti_numbers(cat)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.startswith("category is not acyclic;")
+    cycle = FinCategory.build("C3", ["x", "y", "z"], arrows)
+    assert [len(l) for l in nerve_chains(cycle, max_dim=3)] == [3, 3, 3, 3]
 
 
 def test_degenerate_middle_faces_vanish():
@@ -315,3 +343,30 @@ def test_int_chains_and_clearing_match_reference(seed, kind):
         _check_against_reference(ReducedGrothendieck(make(rng, cat, max_parts=3)).category)
     else:
         _check_against_reference(cat)
+
+
+@given(st.integers(0, 10**9),
+       st.sampled_from(["poset", "dag", "ideal", "filter", "product", "iso", "no_weighting"]))
+def test_nerve_chains_refuses_exactly_the_categories_that_are_not_acyclic(seed, kind):
+    rng = random.Random(seed)
+    if kind == "iso":
+        cat = walking_iso()
+    elif kind == "no_weighting":
+        cat = fx.no_weighting_category()
+    elif kind == "dag":
+        cat = fx.random_dag_category(rng, rng.randint(2, 6), max_morphisms=40)
+    else:
+        cat = fx.random_poset(rng, rng.randint(2, 7), p=0.4)
+    if kind == "product":
+        cat = _times_cyclic(cat, rng.randint(2, 3))
+    elif kind in ("ideal", "filter"):
+        make = fx.random_ideal_cover if kind == "ideal" else fx.random_filter_cover
+        cat = ReducedGrothendieck(make(rng, cat, max_parts=3)).category
+    assert validate_category(cat).ok
+    try:
+        nerve_chains(cat)
+    except ValueError:
+        refused = True
+    else:
+        refused = False
+    assert refused == (not cat.is_acyclic())

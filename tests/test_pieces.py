@@ -19,7 +19,7 @@ from catnerve.covers import Cover, Subcategory, classify_subcategory, ideal_clos
 from catnerve.euler import euler_characteristic, inclusion_exclusion_sum, inclusion_exclusion_terms
 from catnerve.fincat import FinCategory, ValidationReport, Violation, validate_category
 from catnerve.grothendieck import (
-    OrderedGrObjectDescriptor,
+    GrObject,
     ReducedGrothendieck,
     adjunction_check_R,
     adjunction_check_pi,
@@ -303,10 +303,10 @@ def test_cech_levels_match_reference(name, cov):
         for n in range(4):
             pieces = cech.level(cov, n, variant)
             tuples = list(reference(n + 1))
-            assert [p.tuple for p in pieces] == [cech.IndexTuple(t, variant) for t in tuples]
-            for p, t in zip(pieces, tuples):
+            assert [labels for labels, _ in pieces] == tuples
+            for (_, piece), t in zip(pieces, tuples):
                 ref = _ref_piece(cov, t)
-                assert (p.category.objects, p.category.morphisms) == (ref.objects, ref.morphisms)
+                assert (piece.objects, piece.morphisms) == (ref.objects, ref.morphisms)
 
 
 @pytest.mark.parametrize("name,cov", COVERS)
@@ -330,7 +330,7 @@ def test_inclusion_exclusion_matches_reference(name, cov):
 @pytest.mark.parametrize("name,cov", COVERS[:len(fx.all_cover_fixtures())] + COVERS[-12:])
 def test_ordered_gr_hom_matches_reference(name, cov):
     descriptors = [
-        OrderedGrObjectDescriptor(labels, x)
+        GrObject(labels, x)
         for length in (1, 2)
         for labels in combinations_with_replacement(cov.index_order, length)
         for x in _ref_piece(cov, labels).objects
@@ -421,7 +421,7 @@ def test_piece_rejects_unknown_and_empty_labels():
     with pytest.raises(ValueError, match="at least one label"):
         cov.piece(())
     with pytest.raises(ValueError, match="at least one label"):
-        ordered_gr_hom(cov, OrderedGrObjectDescriptor((), "y"), OrderedGrObjectDescriptor(("1",), "y"))
+        ordered_gr_hom(cov, GrObject((), "y"), GrObject(("1",), "y"))
 
 
 def test_subcategory_hom_set():

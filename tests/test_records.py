@@ -13,7 +13,7 @@ import pytest
 
 from catnerve.euler import EulerResult
 from catnerve.fincat import FinCategory, FunctorMap, Mor, ValidationReport, Violation
-from catnerve.grothendieck import GrMorphism, GrObject, OrderedGrObjectDescriptor
+from catnerve.grothendieck import GrMorphism, GrObject
 from catnerve.homotopy import ChainComplexQ, HomologyComparison, HomologyReport, chain_complex
 
 _cat = FinCategory.build("P2", ["0", "1"], [("le", "0", "1")])
@@ -42,8 +42,6 @@ RECORDS = [
      "HomologyComparison(left=HomologyReport(betti=(1,), basis_dims=(2, 1), euler_top=Fraction(1, 1), "
      "truncated=False), right=HomologyReport(betti=(1,), basis_dims=(2, 1), euler_top=Fraction(1, 1), "
      "truncated=False), equal=True, compared_through=0)"),
-    (OrderedGrObjectDescriptor(("1", "1"), "y"), ("labels", "obj"),
-     "OrderedGrObjectDescriptor(labels=('1', '1'), obj='y')"),
     (_y12, ("labels", "obj", "name"), "GrObject(labels=('1', '2'), obj='y', name='y@1,2')"),
     (GrMorphism((0,), "id_y", _y12, _y1), ("phi", "component", "source", "target", "name"),
      "GrMorphism(phi=(0,), component='id_y', source=GrObject(labels=('1', '2'), obj='y', name='y@1,2'), "

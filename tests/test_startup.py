@@ -19,7 +19,7 @@ import catnerve
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-EXPORTS = 61
+EXPORTS = 57
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -29,11 +29,15 @@ def _python(*args: str) -> subprocess.CompletedProcess:
                           text=True, timeout=60)
 
 
+def _imported(stderr: str) -> set[str]:
+    """Modules named in ``-X importtime`` lines."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def _loaded(stderr: str) -> set[str]:
     """catnerve modules named in ``-X importtime`` lines."""
-    names = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
-             if line.startswith("import time:")}
-    return {n for n in names if n == "catnerve" or n.startswith("catnerve.")}
+    return {n for n in _imported(stderr) if n == "catnerve" or n.startswith("catnerve.")}
 
 
 # -- the lazy package --------------------------------------------------------
@@ -104,14 +108,15 @@ def test_command_loads_only_its_modules(argv, extra):
     p = _python("-X", "importtime", "-m", "catnerve.cli", *argv)
     assert p.returncode in (0, 1), p.stderr[-2000:]
     assert _loaded(p.stderr) == PARSING | {f"catnerve.{m}" for m in extra}
+    assert "dataclasses" not in _imported(p.stderr)
 
 
 def test_record_modules_do_not_import_dataclasses():
-    p = _python("-c", "import sys, catnerve.homotopy, catnerve.grothendieck; "
+    p = _python("-c", "import sys, catnerve.homotopy, catnerve.grothendieck, catnerve.cech; "
                       "print(sorted(m for m in sys.modules if m.startswith('catnerve')), "
                       "'dataclasses' in sys.modules)")
     assert p.returncode == 0, p.stderr
-    loaded = ("['catnerve', 'catnerve.covers', 'catnerve.euler', 'catnerve.fincat', "
+    loaded = ("['catnerve', 'catnerve.cech', 'catnerve.covers', 'catnerve.euler', 'catnerve.fincat', "
               "'catnerve.grothendieck', 'catnerve.homotopy']")
     assert p.stdout.strip() == f"{loaded} False"
 
