@@ -178,7 +178,9 @@ class Cover:
     inclusion-exclusion, ``gr`` and the nerve levels all read the same
     pieces.  The label tuples naming the pieces of each nerve (the
     ``VARIANTS``) are enumerated by ``tuples`` and checked by
-    ``check_tuple``.
+    ``check_tuple``.  A ``ReducedGrothendieck`` records itself on its
+    cover, so the adjunction checks reuse it while it is alive; a
+    ``with_order`` copy starts without one, as its tuple order differs.
     """
 
     def __init__(
@@ -201,6 +203,7 @@ class Cover:
         self.parts = {a: parts[a] for a in self.index_order}
         self._pos = {a: i for i, a in enumerate(self.index_order)}
         self._pieces: dict[frozenset[str], Subcategory] = {}
+        self._gr = None  # ReducedGrothendieck(self) puts a weak reference to itself here
 
     def position(self, label: str) -> int:
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional
 
 
 class Mor(NamedTuple):
@@ -49,6 +49,29 @@ class ValidationReport(NamedTuple):
 
 def _as_mor(m) -> Mor:
     return m if isinstance(m, Mor) else Mor(*m)
+
+
+def topological_order(nodes: Iterable[Hashable], arrows: Iterable[tuple]) -> Optional[list]:
+    """The nodes in an order in which every arrow points forward, or None
+    when the arrows form a directed cycle (a loop ``(x, x)`` is one).
+
+    Kahn's algorithm: the nodes without incoming arrows first, each next
+    node once every arrow into it is passed.  Arrows with an endpoint
+    outside ``nodes`` are ignored.
+    """
+    succ: dict[Hashable, list] = {x: [] for x in nodes}
+    indegree = dict.fromkeys(succ, 0)
+    for x, y in arrows:
+        if x in succ and y in succ:
+            succ[x].append(y)
+            indegree[y] += 1
+    order = [x for x, k in indegree.items() if not k]
+    for x in order:  # grows while it is walked: the queue
+        for y in succ[x]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                order.append(y)
+    return order if len(order) == len(succ) else None
 
 
 class FinCategory:
@@ -102,16 +125,23 @@ class FinCategory:
         are never overwritten, so deliberately broken tables survive.
         """
         objs = tuple(objects)
-        identity = {x: f"id_{x}" for x in objs}
+        return cls._complete(str(name), objs, {x: f"id_{x}" for x in objs}, morphisms, dict(comp or {}))
+
+    @classmethod
+    def _complete(
+        cls, name: str, objs: tuple[str, ...], identity: dict[str, str],
+        morphisms: Iterable, table: dict[tuple[str, str], str],
+    ) -> "FinCategory":
+        """``build`` with the identity names given, ``identity[x] == f"id_{x}"``
+        (the parser passes its shared strings); ``table`` is kept and filled in."""
         mors = (*(Mor(identity[x], x, x) for x in objs), *map(_as_mor, morphisms))
-        table: dict[tuple[str, str], str] = dict(comp or {})
         for m in mors:
             if m.dom in identity:
                 table.setdefault((m.name, identity[m.dom]), m.name)
             if m.cod in identity:
                 table.setdefault((identity[m.cod], m.name), m.name)
         cat = cls.__new__(cls)
-        cat._own(str(name), objs, mors, identity, table)
+        cat._own(name, objs, mors, identity, table)
         return cat
 
     # -- queries ---------------------------------------------------------
@@ -166,14 +196,15 @@ class FinCategory:
     # -- predicates ------------------------------------------------------
 
     def is_acyclic(self) -> bool:
-        """No non-identity endomorphisms and no two-way connections."""
-        for m in self.morphisms:
-            if m.dom == m.cod and m.name != self.identity.get(m.dom):
-                return False
-        for (x, y) in self._hom:
-            if x != y and (y, x) in self._hom:
-                return False
-        return True
+        """The non-identity arrows form no directed cycle; a non-identity
+        endomorphism is a cycle of length one.
+
+        Decided on the table as given, so the answer is exact also on a
+        category that was never validated.
+        """
+        ids = self._idnames
+        arrows = ((m.dom, m.cod) for m in self.morphisms if m.name not in ids)
+        return topological_order(self.objects, arrows) is not None
 
     def is_poset(self) -> bool:
         """At most one morphism between any two objects, antisymmetric."""

@@ -20,7 +20,7 @@ from .covers import (
     filter_closure,
     whole_subcategory,
 )
-from .fincat import FinCategory, Mor
+from .fincat import FinCategory, Mor, topological_order
 
 
 # -- fixed categories -------------------------------------------------------
@@ -158,22 +158,12 @@ def path_category(
     verts = list(vertices)
     edge_list = [(e, s, t) for (e, s, t) in edges]
     out: dict[str, list[tuple[str, str]]] = {v: [] for v in verts}
-    indeg = {v: 0 for v in verts}
     for e, s, t in edge_list:
         if s not in out or t not in out:
             raise ValueError(f"edge {e!r} has an unknown endpoint")
         out[s].append((e, t))
-        indeg[t] += 1
-    # Kahn's algorithm; a leftover vertex means a directed cycle.
-    order, queue = [], [v for v in verts if indeg[v] == 0]
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for _, t in out[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    if len(order) != len(verts):
+    order = topological_order(verts, ((s, t) for _, s, t in edge_list))
+    if order is None:
         raise ValueError("edge set has a directed cycle; the free category would be infinite")
 
     paths_from: dict[str, list[tuple[tuple[str, ...], str]]] = {v: [] for v in verts}

@@ -11,6 +11,7 @@ composite inside the target intersection.
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -148,6 +149,9 @@ class ReducedGrothendieck:
             [(m.name, m.source.name, m.target.name) for m in self.morphisms],
             comp,
         )
+        # the adjunction checks reuse this instance; a weak reference forms
+        # no cycle and keeps no dropped gr alive
+        cover._gr = weakref.ref(self)
 
     def component_of(self, name: str) -> str:
         """Underlying parent morphism of a gr morphism (identities included)."""
@@ -188,6 +192,13 @@ class ReducedGrothendieck:
         return FunctorMap(parent, self.category, object_map, morphism_map)
 
 
+def _built_on(cover: Cover) -> ReducedGrothendieck:
+    """The ``ReducedGrothendieck`` last built on ``cover`` while it is
+    still alive, else a new one."""
+    rg = cover._gr and cover._gr()
+    return rg if rg is not None else ReducedGrothendieck(cover)
+
+
 def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationReport:
     """Verify |hom(x, rho(Y))| = |gr(pi(x), Y)| for every pair, with the
     canonical map f |-> (forced injection, f) a bijection.
@@ -195,7 +206,7 @@ def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationRep
     With ``diagnostic=True`` the formula for pi is forced even when the
     parts are not ideals, so the failing pairs can be reported.
     """
-    rg = ReducedGrothendieck(cover)
+    rg = _built_on(cover)
     if not diagnostic:
         bad = [a for a in cover.index_order
                if not classify_subcategory(cover.parts[a]).is_ideal]
@@ -279,7 +290,7 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rg = ReducedGrothendieck(cover)
+    rg = _built_on(cover)
     descriptors = []  # each ordered descriptor with the name of its reduction
     for length in range(1, max_len + 1):
         for labels in cover.tuples(length, "ordered"):

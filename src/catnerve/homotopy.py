@@ -40,8 +40,8 @@ def nerve_chains(cat: FinCategory, max_dim: Optional[int] = None) -> list[list[C
     Without ``max_dim`` the non-identity arrows must form no directed
     cycle (a cycle, an endomorphism loop included, yields chains in
     every dimension), and the list stops at the first empty level.
-    Kahn's algorithm checks this on the table as given, so a cycle is
-    refused even in a category that was never validated.  With
+    ``FinCategory.is_acyclic`` checks this on the table as given, so a
+    cycle is refused even in a category that was never validated.  With
     ``max_dim`` the enumeration is cut after that dimension regardless.
     A (k+1)-chain extends a k-chain by one arrow; a level lists its
     chains by that k-chain, then by the new arrow's place in
@@ -49,28 +49,16 @@ def nerve_chains(cat: FinCategory, max_dim: Optional[int] = None) -> list[list[C
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError("max_dim must be >= 0")
+    if max_dim is None and not cat.is_acyclic():
+        raise ValueError(
+            "category is not acyclic; nondegenerate chains exist in every "
+            "dimension, pass max_dim to truncate"
+        )
     mors, ids = cat.morphisms, cat._idnames
     out: dict[str, list[Chain]] = {x: [] for x in cat.objects}
-    indegree = dict.fromkeys(out, 0)  # non-identity arrows into each object
     for i, m in enumerate(mors):
         if m.dom in out and m.name not in ids:
             out[m.dom].append((i,))
-            if m.cod in indegree:
-                indegree[m.cod] += 1
-    if max_dim is None:  # Kahn's algorithm: an object left over lies on or after a cycle
-        order = [x for x, k in indegree.items() if not k]
-        for x in order:  # grows while it is walked: the queue
-            for (i,) in out[x]:
-                y = mors[i].cod
-                if y in indegree:
-                    indegree[y] -= 1
-                    if not indegree[y]:
-                        order.append(y)
-        if len(order) < len(out):
-            raise ValueError(
-                "category is not acyclic; nondegenerate chains exist in every "
-                "dimension, pass max_dim to truncate"
-            )
     then = [out.get(m.cod, ()) for m in mors]  # the arrows that may follow arrow i
     levels = [[(i,) for i in range(len(cat.objects))]]
     d = 0

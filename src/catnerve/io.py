@@ -13,7 +13,10 @@ Identities are implicit: every object gets ``id_<object>`` and the
 identity rows of the composition table are filled in automatically, so
 only composites of non-identity pairs need (or should) be written.
 Ids are whitespace- and '#'-free tokens; names beginning ``id_`` are
-reserved for identities.
+reserved for identities.  ``parse_category`` keeps one shared ``str``
+per distinct id: the objects, the ``Mor`` fields and the table's keys
+and values all hold it, so lookups in the parsed category compare
+strings that are already hashed and identical.
 
 Cover files (parsed against an already-loaded category)::
 
@@ -66,42 +69,48 @@ def parse_category(text: str, validate: bool = True) -> FinCategory:
     objects: list[str] = []
     morphisms: list[Mor] = []
     comp: dict[tuple[str, str], str] = {}
+    intern = {}.setdefault  # one shared str per distinct id: intern(tok, tok)
 
-    for no, line in _logical_lines(text):
-        tok = line.split()
-        if tok[0] == "category":
-            if name is not None:
-                raise ParseError(no, "second 'category' header")
+    for no, raw in enumerate(text.splitlines(), start=1):
+        tok = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tok:
+            continue
+        head = tok[0]
+        if name is None:
+            if head != "category":
+                raise ParseError(no, "file must start with 'category <name>'")
             if len(tok) != 2:
                 raise ParseError(no, "expected: category <name>")
             name = tok[1]
-            continue
-        if name is None:
-            raise ParseError(no, "file must start with 'category <name>'")
-        if tok[0] == "objects":
-            if len(tok) < 2:
-                raise ParseError(no, "expected: objects <id>...")
-            objects.extend(tok[1:])
-        elif tok[0] == "mor":
-            # mor f : x -> y
-            if len(tok) != 6 or tok[2] != ":" or tok[4] != "->":
-                raise ParseError(no, "expected: mor <id> : <dom> -> <cod>")
-            morphisms.append(Mor(tok[1], tok[3], tok[5]))
-        elif tok[0] == "comp":
+        elif head == "comp":  # tested first: the bulk of every large file
             # comp g f = h   (h = g after f)
             if len(tok) != 5 or tok[3] != "=":
                 raise ParseError(no, "expected: comp <g> <f> = <h>")
-            key = (tok[1], tok[2])
+            _, g, f, _, h = tok
+            key = (intern(g, g), intern(f, f))
             if key in comp:
                 first = next(n for n, earlier in _logical_lines(text) if earlier.split()[:3] == tok[:3])
-                raise ParseError(no, f"composite of ({tok[1]}, {tok[2]}) already given on line {first}")
-            comp[key] = tok[4]
+                raise ParseError(no, f"composite of ({g}, {f}) already given on line {first}")
+            comp[key] = intern(h, h)
+        elif head == "mor":
+            # mor f : x -> y
+            if len(tok) != 6 or tok[2] != ":" or tok[4] != "->":
+                raise ParseError(no, "expected: mor <id> : <dom> -> <cod>")
+            _, f, _, x, _, y = tok
+            morphisms.append(Mor(intern(f, f), intern(x, x), intern(y, y)))
+        elif head == "objects":
+            if len(tok) < 2:
+                raise ParseError(no, "expected: objects <id>...")
+            objects.extend([intern(x, x) for x in tok[1:]])
+        elif head == "category":
+            raise ParseError(no, "second 'category' header")
         else:
-            raise ParseError(no, f"unknown directive {tok[0]!r}")
+            raise ParseError(no, f"unknown directive {head!r}")
 
     if name is None:
         raise ParseError(1, "empty input; expected 'category <name>'")
-    cat = FinCategory.build(name, objects, morphisms, comp)
+    identity = {x: intern(i, i) for x in objects for i in (f"id_{x}",)}
+    cat = FinCategory._complete(name, tuple(objects), identity, morphisms, comp)
     if validate:
         report = validate_category(cat)
         if not report.ok:

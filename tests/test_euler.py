@@ -183,6 +183,14 @@ def test_mobius_oracle_frozen():
         mobius_oracle(fx.counterexample_category())
 
 
+def test_mobius_oracle_refuses_an_unvalidated_cycle():
+    # x -> y -> z -> x: one arrow per pair and no two-way pair, but a cycle
+    cycle = FinCategory.build("C3", ["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z"), ("h", "z", "x")])
+    assert not cycle.is_poset()
+    with pytest.raises(ValueError, match="poset"):
+        mobius_oracle(cycle)
+
+
 def test_format_rational():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(-1, 2)) == "-1/2"
@@ -348,9 +356,9 @@ def test_elimination_kept_where_zeta_is_not_triangular():
     # the answers for no_weighting_category are pinned in test_category_without_euler_characteristic
     nw = fx.no_weighting_category()
 
-    # is_acyclic() sees no endomorphism and no two-way pair, yet x -> y -> z -> x
+    # no endomorphism and no two-way pair, yet x -> y -> z -> x
     cycle = FinCategory.build("C3", ["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z"), ("h", "z", "x")])
-    assert cycle.is_acyclic() and not validate_category(cycle).ok
+    assert not cycle.is_acyclic() and not validate_category(cycle).ok
     half = (F(1, 2),) * 3
     assert euler_characteristic(cycle) == EulerResult(F(3, 2), half, half)
 

@@ -156,6 +156,40 @@ def test_acyclic_and_poset_predicates():
     assert not iso.is_acyclic()
 
 
+def _ref_is_acyclic(cat):
+    """No non-identity arrow x -> y with a path of such arrows from y back to x."""
+    succ = {x: set() for x in cat.objects}
+    for m in cat.non_identities():
+        if m.dom in succ and m.cod in succ:
+            succ[m.dom].add(m.cod)
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            x = todo.pop()
+            if x == goal:
+                return True
+            if x not in seen:
+                seen.add(x)
+                todo.extend(succ[x])
+        return False
+
+    return not any(reaches(y, x) for x in succ for y in succ[x])
+
+
+@given(st.integers(0, 10**9), st.integers(1, 6), st.integers(0, 8), st.integers(0, 6))
+def test_is_acyclic_is_exact_on_unvalidated_tables(seed, n, k, ring):
+    # k arbitrary arrows and a ring through up to ``ring`` objects, with no
+    # composites: loops, two-way pairs and longer cycles all occur
+    rng = random.Random(seed)
+    objs = [f"o{i}" for i in range(n)]
+    arrows = [(f"a{i}", rng.choice(objs), rng.choice(objs)) for i in range(k)]
+    on_ring = rng.sample(objs, min(ring, n))
+    arrows += [(f"r{i}", x, on_ring[(i + 1) % len(on_ring)]) for i, x in enumerate(on_ring)]
+    cat = FinCategory.build("R", objs, arrows)
+    assert cat.is_acyclic() == _ref_is_acyclic(cat), arrows
+
+
 def test_structural_equality_ignores_name():
     a = fx.counterexample_category()
     b = FinCategory("renamed", a.objects, a.morphisms, a.identity, a.comp)

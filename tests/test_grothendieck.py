@@ -154,6 +154,26 @@ def test_adjunction_R_rejects_max_len_below_1():
     assert adjunction_check_R(cov, max_len=1).ok
 
 
+def test_one_cover_yields_one_build(monkeypatch):
+    built = []
+    init = ReducedGrothendieck.__init__
+
+    def counting_init(self, cover):
+        built.append(cover.index_order)
+        init(self, cover)
+
+    monkeypatch.setattr(ReducedGrothendieck, "__init__", counting_init)
+    cov = fx.chain_ideal_cover_3()
+    g = ReducedGrothendieck(cov)
+    pi = adjunction_check_pi(cov)
+    assert pi.ok and adjunction_check_R(cov).ok
+    assert built == [cov.index_order] and cov._gr() is g
+    # a with_order copy lists its tuples in another order: it builds its own gr
+    flipped = cov.with_order(cov.index_order[::-1])
+    assert adjunction_check_pi(flipped).details == pi.details
+    assert built == [cov.index_order, flipped.index_order]
+
+
 def test_reorder_iso_counterexample():
     cov = fx.counterexample_cover()
     F, G = reorder_iso(cov, ["2", "1"])

@@ -56,8 +56,8 @@ def test_nerve_chains_guards():
 
 
 def test_nerve_chains_refuses_an_unvalidated_cycle():
-    # x -> y -> z -> x with no composites: not a category, and
-    # ``is_acyclic`` sees no endomorphism and no two-way pair in it.
+    # x -> y -> z -> x with no composites: not a category, and it has
+    # no endomorphism and no two-way pair.
     # betti_numbers runs in a subprocess with a timeout, so that
     # enumerating the cycle's chains without end fails the test instead
     # of hanging it.

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from catnerve.cli import main
+from catnerve.fincat import FinCategory, Mor, validate_category
 from catnerve.covers import Subcategory, full_subcategory, whole_subcategory, Cover
 from catnerve.io import (
     InvalidStructureError,
@@ -20,6 +21,7 @@ from catnerve.io import (
     parse_cover,
 )
 from catnerve import fixtures as fx
+from test_euler import _times_z3
 
 CEX = """\
 category C
@@ -209,6 +211,137 @@ def test_parse_cover_raises_only_its_own_errors(pair, data):
         parse_cover(text, parse_category(cat_text))
     except (ParseError, InvalidStructureError):
         pass
+
+
+# -- the parser against its line-by-line reference ------------------------
+
+def _ref_logical_lines(text):
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+        if line:
+            yield i, line
+
+
+def _ref_parse_category(text, validate=True):
+    """The parser before ids were interned: a generator of logical lines
+    and one branch per directive, the header tested first."""
+    name = None
+    objects, morphisms, comp = [], [], {}
+    for no, line in _ref_logical_lines(text):
+        tok = line.split()
+        if tok[0] == "category":
+            if name is not None:
+                raise ParseError(no, "second 'category' header")
+            if len(tok) != 2:
+                raise ParseError(no, "expected: category <name>")
+            name = tok[1]
+            continue
+        if name is None:
+            raise ParseError(no, "file must start with 'category <name>'")
+        if tok[0] == "objects":
+            if len(tok) < 2:
+                raise ParseError(no, "expected: objects <id>...")
+            objects.extend(tok[1:])
+        elif tok[0] == "mor":
+            if len(tok) != 6 or tok[2] != ":" or tok[4] != "->":
+                raise ParseError(no, "expected: mor <id> : <dom> -> <cod>")
+            morphisms.append(Mor(tok[1], tok[3], tok[5]))
+        elif tok[0] == "comp":
+            if len(tok) != 5 or tok[3] != "=":
+                raise ParseError(no, "expected: comp <g> <f> = <h>")
+            key = (tok[1], tok[2])
+            if key in comp:
+                first = next(n for n, earlier in _ref_logical_lines(text) if earlier.split()[:3] == tok[:3])
+                raise ParseError(no, f"composite of ({tok[1]}, {tok[2]}) already given on line {first}")
+            comp[key] = tok[4]
+        else:
+            raise ParseError(no, f"unknown directive {tok[0]!r}")
+    if name is None:
+        raise ParseError(1, "empty input; expected 'category <name>'")
+    cat = FinCategory.build(name, objects, morphisms, comp)
+    if validate:
+        report = validate_category(cat)
+        if not report.ok:
+            raise InvalidStructureError("; ".join(report.messages()))
+    return cat
+
+
+IDS = st.sampled_from(["x", "y", "z", "f", "g", "h", "id_x", "f+1"])
+DIRECTIVES = {
+    "objects": st.lists(IDS, min_size=1, max_size=4).map(lambda ids: ["objects", *ids]),
+    "mor": st.tuples(IDS, IDS, IDS).map(lambda t: ["mor", t[0], ":", t[1], "->", t[2]]),
+    "comp": st.tuples(IDS, IDS, IDS).map(lambda t: ["comp", t[0], t[1], "=", t[2]]),
+    "blank": st.just([]),
+}
+BROKEN_LINES = st.sampled_from([
+    ["category", "D"], ["category"], ["category", "A", "B"], ["objects"], ["frob", "x"],
+    ["mor", "f", "x", "->", "y"], ["mor", "f", ":", "x", "->", "y", "z"], ["mor", "f", ":", "x", "=", "y"],
+    ["comp", "g", "f", "h"], ["comp", "g", "f", "=", "h", "k"], ["comp", "g", "f", "-", "h"], ["COMP", "g"],
+])
+
+
+@st.composite
+def category_texts(draw):
+    """Category files with comments, blank lines, tabs, every line break
+    ``str.splitlines`` knows and directives in any order; one line in
+    eight breaks a rule, and the header may be missing or late."""
+    lines = [draw(DIRECTIVES[k]) for k in draw(st.lists(st.sampled_from(
+        ["objects", "mor", "comp", "comp", "comp", "comp", "blank"]), max_size=14))]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.integers(0, 7)) == 0 or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(BROKEN_LINES))
+    header = draw(st.sampled_from(["first", "first", "first", "late", "none"]))
+    if header != "none":
+        at = 0 if header == "first" or not lines else draw(st.integers(1, len(lines)))
+        lines.insert(at, ["category", draw(st.sampled_from(["C", "P_x", "id_x"]))])
+    out = []
+    for tok in lines:
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        comment = draw(st.sampled_from(["", "", "", " # note", "#", "\t# comp x y = z", "#objects q"]))
+        brk = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"]))
+        out.append(lead + sep.join(tok) + comment + brk)
+    return "".join(out)[: None if draw(st.booleans()) else -1]
+
+
+def _parsed(parse, text, validate):
+    try:
+        cat = parse(text, validate=validate)
+    except ParseError as e:
+        return ParseError, str(e), e.line_no
+    except InvalidStructureError as e:
+        return InvalidStructureError, str(e)
+    return cat, cat.name, cat.objects, cat.morphisms, list(cat.identity.items()), list(cat.comp.items())
+
+
+@settings(max_examples=300)
+@given(category_texts(), st.booleans())
+def test_parse_category_matches_the_reference(text, validate):
+    assert _parsed(parse_category, text, validate) == _parsed(_ref_parse_category, text, validate)
+
+
+def test_parse_category_matches_the_reference_on_fixed_texts():
+    texts = [*CATEGORY_TEXTS, CEX, "", "\n\n", "# only\r\n", "category C\r\nobjects\tx  y\x0cmor f : x -> y\r",
+             "objects x\ncategory C\n", "category C\ncategory C\n", "category C D\n",
+             "category C\nobjects x y\nmor f : x -> y\ncomp f id_x = f\n# c\ncomp f  id_x = f#x\n"]
+    for text in texts:
+        for validate in (True, False):
+            assert _parsed(parse_category, text, validate) == _parsed(_ref_parse_category, text, validate), text
+
+
+def _distinct_ids_and_names(cat):
+    names = [*cat.objects, *(s for m in cat.morphisms for s in m),
+             *(s for (g, f), h in cat.comp.items() for s in (g, f, h))]
+    return len({id(s) for s in names}), len(set(names))
+
+
+def test_parse_category_keeps_one_string_per_name():
+    texts = [*CATEGORY_TEXTS]
+    for seed, n in ((0, 5), (1, 8), (2, 12)):
+        texts.append(emit_category(_times_z3(fx.random_poset(random.Random(seed), n))))
+    for text in texts:
+        ids, names = _distinct_ids_and_names(parse_category(text, validate=False))
+        assert ids == names, text[:40]
 
 
 # -- command line -----------------------------------------------------------
