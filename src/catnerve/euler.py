@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, intersect, union_closure
-from .fincat import FinCategory, ValidationReport, Violation, topological_order
+from .fincat import FinCategory, ValidationReport, Violation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -137,12 +137,25 @@ def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
     with a nonzero diagonal.
 
     That needs every diagonal entry to be nonzero and the off-diagonal
-    support to have no directed cycle; ``topological_order`` finds the
-    order or returns None, and then there is none.
+    support to have no directed cycle; Kahn's algorithm finds the order
+    or leaves some object out, and then there is none.
     """
-    if not all(row.get(i) for i, row in enumerate(z)):
-        return None
-    return topological_order(range(len(z)), ((i, j) for i, row in enumerate(z) for j in row if j != i))
+    n = len(z)
+    indegree = [0] * n
+    for i, row in enumerate(z):
+        if not row.get(i):
+            return None
+        for j in row:
+            if j != i:
+                indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is walked: the queue of Kahn's algorithm
+        for j in z[i]:
+            if j != i:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+    return order if len(order) == n else None
 
 
 def _solve(z: Sequence[Mapping[int, int]], order: Optional[list[int]], side: str) -> Optional[tuple]:

@@ -51,19 +51,17 @@ def _as_mor(m) -> Mor:
     return m if isinstance(m, Mor) else Mor(*m)
 
 
-def topological_order(nodes: Iterable[Hashable], arrows: Iterable[tuple]) -> Optional[list]:
-    """The nodes in an order in which every arrow points forward, or None
-    when the arrows form a directed cycle (a loop ``(x, x)`` is one).
+def topological_order(succ: Mapping[Hashable, Iterable[Hashable]]) -> Optional[list]:
+    """The nodes of ``succ`` (node -> the nodes its arrows point to, every
+    one a node too) in an order in which every arrow points forward, or
+    None when the arrows form a directed cycle (a loop ``x -> x`` is one).
 
     Kahn's algorithm: the nodes without incoming arrows first, each next
-    node once every arrow into it is passed.  Arrows with an endpoint
-    outside ``nodes`` are ignored.
+    node once every arrow into it is passed.
     """
-    succ: dict[Hashable, list] = {x: [] for x in nodes}
     indegree = dict.fromkeys(succ, 0)
-    for x, y in arrows:
-        if x in succ and y in succ:
-            succ[x].append(y)
+    for ys in succ.values():
+        for y in ys:
             indegree[y] += 1
     order = [x for x, k in indegree.items() if not k]
     for x in order:  # grows while it is walked: the queue
@@ -71,7 +69,7 @@ def topological_order(nodes: Iterable[Hashable], arrows: Iterable[tuple]) -> Opt
             indegree[y] -= 1
             if not indegree[y]:
                 order.append(y)
-    return order if len(order) == len(succ) else None
+    return order if len(order) == len(indegree) else None
 
 
 class FinCategory:
@@ -203,8 +201,11 @@ class FinCategory:
         category that was never validated.
         """
         ids = self._idnames
-        arrows = ((m.dom, m.cod) for m in self.morphisms if m.name not in ids)
-        return topological_order(self.objects, arrows) is not None
+        succ: dict[str, list[str]] = {x: [] for x in self.objects}
+        for m in self.morphisms:
+            if m.name not in ids and m.dom in succ and m.cod in succ:
+                succ[m.dom].append(m.cod)
+        return topological_order(succ) is not None
 
     def is_poset(self) -> bool:
         """At most one morphism between any two objects, antisymmetric."""

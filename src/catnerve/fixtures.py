@@ -162,7 +162,7 @@ def path_category(
         if s not in out or t not in out:
             raise ValueError(f"edge {e!r} has an unknown endpoint")
         out[s].append((e, t))
-    order = topological_order(verts, ((s, t) for _, s, t in edge_list))
+    order = topological_order({v: [t for _, t in out[v]] for v in out})
     if order is None:
         raise ValueError("edge set has a directed cycle; the free category would be infinite")
 
