@@ -149,7 +149,7 @@ def _union_ids(parts: Sequence[Subcategory]) -> tuple[set[str], set[str]]:
     for p in parts:
         objs |= p._objset
         mors |= p._mors.keys()
-    changed = True
+    changed = not mors.issuperset(parent._mors)  # else the pass adds only undeclared names, which callers drop
     while changed:
         changed = False
         for (g, f), h in parent.comp.items():

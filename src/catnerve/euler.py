@@ -6,21 +6,20 @@ The Euler characteristic exists iff both do, and equals the entry sum
 of either.
 
 Matrices are sparse: a list of ``dict[int, int]`` rows mapping a column
-index to a nonzero integer entry.  One elimination serves ``rank`` and
-``solve_right``; ``fractions.Fraction`` appears only inside it and in
-the solutions.  When the arrows between distinct objects form no
-directed cycle (in particular for every validated acyclic category, and
-for ``P x Z/m`` over a poset ``P``), the similarity matrix is upper
-triangular in a topological order of the objects, with the nonzero
-diagonal ``|End(x)|``: both vectors are then found by substitution,
-without elimination.  They stay Python ints while every diagonal entry
-met is 1 and only the returned entries are Fractions.  Nothing here is
-floating point.
+index to a nonzero integer entry.  Solving stays in Python ints: one
+fraction-free elimination serves ``rank`` and ``solve_right``, and one
+back-substitution finds ``d x``, with ``d`` the product of the pivots.
+When the arrows between distinct objects form no directed cycle (every
+validated acyclic category, and ``P x Z/m`` over a poset ``P``), zeta
+is upper triangular in a topological order of the objects, with
+diagonal ``|End(x)|``, and needs no elimination.  Fractions appear only
+in the answers; nothing here is floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, intersect, union_closure
@@ -30,38 +29,59 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, Fraction]]:
+def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
     """Echelon basis of the row space of sparse rows, keyed by leading column.
 
-    A row's leading column is its smallest column index.  Each incoming
-    row is reduced by the basis rows whose leading columns it hits until
-    it vanishes or leads at a fresh column, where it joins the basis
-    scaled to a leading 1.  The leading columns are then the pivot
-    columns of the reduced row echelon form.  Entries that cancel are
-    dropped, so ±1 rows stay sparse and integral; Fractions arise only
-    from leading entries other than ±1.
+    A row's leading column is its smallest column index.  A row drops its
+    zeros and is cleared of denominators, then each basis row ``prow``
+    whose lead ``a`` it meets with an entry ``c`` makes it ``a row - c prow``,
+    until it vanishes or joins the basis at a fresh leading column,
+    divided by the gcd of its entries, with a positive lead.  The leads
+    are the pivot columns of the reduced row echelon form.
     """
-    basis: dict[int, dict[int, Fraction]] = {}
+    basis: dict[int, dict[int, int]] = {}
     for given in rows:
-        row = {j: v for j, v in given.items() if v}
+        row = dict(given)
+        if 0 in row.values() or type(sum(row.values())) is not int:  # only Fractions sum to a non-int
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
         while row:
             lead = min(row)
             prow = basis.get(lead)
-            if prow is None:
-                a = row[lead]
-                if a != 1:
-                    inv = a if a == -1 else 1 / Fraction(a)
-                    row = {j: v * inv for j, v in row.items()}
-                basis[lead] = row
-                break
             c = row[lead]
+            if prow is None:
+                g = c if c in (1, -1) else gcd(*row.values()) if c > 0 else -gcd(*row.values())
+                basis[lead] = row if g == 1 else {j: v // g for j, v in row.items()}
+                break
+            a = prow[lead]
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
             for j, v in prow.items():
                 w = row.get(j, 0) - c * v
                 if w:
                     row[j] = w
-                else:
-                    row.pop(j, None)
+                else:  # row held c v there, and c v is not 0
+                    del row[j]
     return basis
+
+
+def _substitute(rows, pivots: Iterable[int], b, d: int, n: int) -> tuple[list[int], int]:
+    """``(X, d)``, ``X = d x``, for ``sum_j rows[p]_j x_j = b_p`` solved pivot by pivot;
+    the other columns of ``rows[p]`` are found earlier or free (0).  ``d`` is the product
+    of the pivots, so ``X`` is the pivot block's adjugate times ``b``: no division leaves a remainder."""
+    x = [0] * n
+    for p in pivots:
+        row = rows[p]  # x_p is still 0, so its own term adds nothing to the sum
+        x[p] = (d * b[p] - sum(v * x[j] for j, v in row.items())) // row[p]
+    return x, d
+
+
+def _answers(solved: Optional[tuple[list[int], int]]) -> Optional[tuple[Fraction, ...]]:
+    """The Fractions ``X / d`` of a scaled solution ``(X, d)``."""
+    if solved is None:
+        return None
+    x, d = solved
+    return tuple(map(Fraction, x)) if d == 1 else tuple(Fraction(v, d) for v in x)
 
 
 def rank(
@@ -87,6 +107,16 @@ def rank(
     return len(basis)
 
 
+def _solve_right(m: Sequence[Mapping[int, int]], ncols: int, rhs: Sequence) -> Optional[tuple[list[int], int]]:
+    """``solve_right`` as a scaled solution ``(X, d)``.  The right-hand side rides
+    along as column ``ncols`` and leads a basis row iff it is not in the column space."""
+    basis = _eliminate({**row, ncols: b} for row, b in zip(m, rhs))
+    if ncols in basis:
+        return None
+    b = {p: row.pop(ncols, 0) for p, row in basis.items()}
+    return _substitute(basis, sorted(basis, reverse=True), b, prod(row[p] for p, row in basis.items()), ncols)
+
+
 def solve_right(
     m: Sequence[Mapping[int, int]], ncols: int, rhs: Sequence[Fraction]
 ) -> Optional[tuple[Fraction, ...]]:
@@ -100,17 +130,7 @@ def solve_right(
         raise ValueError("rhs length mismatch")
     if any(not 0 <= j < ncols for row in m for j in row):
         raise ValueError("column index out of range")
-    # the right-hand side rides along as column ncols; it leads a basis
-    # row exactly when it is not in the column space of m
-    basis = _eliminate({**row, ncols: b} for row, b in zip(m, rhs))
-    if ncols in basis:
-        return None
-    x = [ZERO] * ncols
-    for lead in sorted(basis, reverse=True):
-        row = basis[lead]
-        x[lead] = Fraction(row.get(ncols, 0)) - sum(
-            (v * x[j] for j, v in row.items() if lead < j < ncols), ZERO)
-    return tuple(x)
+    return _answers(_solve_right(m, ncols, rhs))
 
 
 def zeta_matrix(cat: FinCategory) -> list[dict[int, int]]:
@@ -124,17 +144,9 @@ def zeta_matrix(cat: FinCategory) -> list[dict[int, int]]:
     return [rows[x] for x in cat.objects]
 
 
-def _transpose(m: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
-    out: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for i, row in enumerate(m):
-        for j, v in row.items():
-            out[j][i] = v
-    return out
-
-
-def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
+def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[tuple[list[int], int]]:
     """An order of the objects in which the square ``z`` is upper triangular
-    with a nonzero diagonal.
+    with a nonzero diagonal, and the product of that diagonal.
 
     That needs every diagonal entry to be nonzero and the off-diagonal
     support to have no directed cycle; Kahn's algorithm finds the order
@@ -142,9 +154,11 @@ def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
     """
     n = len(z)
     indegree = [0] * n
+    d = 1
     for i, row in enumerate(z):
         if not row.get(i):
             return None
+        d *= row[i]
         for j in row:
             if j != i:
                 indegree[j] += 1
@@ -155,47 +169,37 @@ def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
                 indegree[j] -= 1
                 if not indegree[j]:
                     order.append(j)
-    return order if len(order) == n else None
+    return (order, d) if len(order) == n else None
 
 
-def _solve(z: Sequence[Mapping[int, int]], order: Optional[list[int]], side: str) -> Optional[tuple]:
-    """Weighting or coweighting for zeta ``z``; ``order`` from ``_triangular_order``.
-
-    With ``order`` the system is triangular and solved by substitution,
-    dividing by the diagonal entry ``z_ii = |End(i)|``; the entries are
-    Python ints while every divisor is 1 and Fractions after (the
-    callers wrap them).  Without it they are Fractions, or None, from
-    the elimination.
-    """
+def _weightings(cat: FinCategory) -> tuple[Optional[tuple[list[int], int]], Optional[tuple[list[int], int]]]:
+    """Weighting and coweighting, each a scaled solution ``(X, d)`` or None: by
+    substitution, ``d = prod |End(x)|``, when zeta is triangular, else by the elimination."""
+    z = zeta_matrix(cat)
     n = len(z)
-    if order is None:
-        if side == "coweight":
-            z = _transpose(z, n)
-        return solve_right(z, n, [ONE] * n)
-    x = [1] * n
-    if side == "weight":  # w_i = (1 - sum_{j after i} z_ij w_j) / z_ii
-        for i in reversed(order):
-            row = z[i]
-            s = 1 - sum(v * x[j] for j, v in row.items() if j != i)
-            x[i] = s if row[i] == 1 else Fraction(s, row[i])
-    else:  # v_j = (1 - sum_{i before j} v_i z_ij) / z_jj, pushed along row i once v_i is final
-        for i in order:
-            row = z[i]
-            vi = x[i] = x[i] if row[i] == 1 else Fraction(x[i], row[i])
-            for j, v in row.items():
-                if j != i:
-                    x[j] -= vi * v
-    return tuple(x)
+    tri = _triangular_order(z)
+    if tri is None:
+        zt: list[dict[int, int]] = [{} for _ in z]
+        for i, row in enumerate(z):
+            for j, e in row.items():
+                zt[j][i] = e
+        return _solve_right(z, n, [1] * n), _solve_right(zt, n, [1] * n)
+    order, d = tri
+    v = [d] * n
+    for i in order:  # v_j z_jj = 1 - sum_{i before j} v_i z_ij, pushed along row i once v_i is final
+        row = z[i]
+        vi = v[i] = v[i] // row[i]
+        for j, e in row.items():
+            if j != i:
+                v[j] -= vi * e
+    return _substitute(z, reversed(order), [1] * n, d, n), (v, d)  # z_ii w_i = 1 - sum_{j after i} z_ij w_j
 
 
 def solve_weighting(cat: FinCategory, side: str = "weight") -> Optional[tuple[Fraction, ...]]:
     """Weighting (zeta w = 1) or coweighting (v zeta = 1) of a category."""
     if side not in ("weight", "coweight"):
         raise ValueError(f"side must be 'weight' or 'coweight', got {side!r}")
-    z = zeta_matrix(cat)
-    order = _triangular_order(z)
-    x = _solve(z, order, side)
-    return x if order is None else tuple(map(Fraction, x))
+    return _answers(_weightings(cat)[side == "coweight"])
 
 
 class EulerResult(NamedTuple):
@@ -208,21 +212,13 @@ class EulerResult(NamedTuple):
 
 
 def euler_characteristic(cat: FinCategory) -> EulerResult:
-    """Sum of a weighting when a coweighting also exists; exact rational.
-
-    The empty category has Euler characteristic 0.  An integral
-    weighting is summed as ints and wrapped once.
-    """
-    z = zeta_matrix(cat)
-    order = _triangular_order(z)
-    w = _solve(z, order, "weight")
-    v = _solve(z, order, "coweight")
+    """Sum of a weighting when a coweighting also exists; exact rational, 0 when empty."""
+    w, v = _weightings(cat)
     if w is None or v is None:  # only the elimination finds no solution
         missing = [name for name, vec in (("weighting", w), ("coweighting", v)) if vec is None]
-        return EulerResult(None, w, v, reason="no " + " and no ".join(missing))
-    if order is None:
-        return EulerResult(sum(w, ZERO), w, v)
-    return EulerResult(Fraction(sum(w)), tuple(map(Fraction, w)), tuple(map(Fraction, v)))
+        return EulerResult(None, _answers(w), _answers(v), reason="no " + " and no ".join(missing))
+    x, d = w  # Fraction's one-argument form is much the faster
+    return EulerResult(Fraction(sum(x)) if d == 1 else Fraction(sum(x), d), _answers(w), _answers(v))
 
 
 def inclusion_exclusion_terms(

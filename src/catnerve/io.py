@@ -71,7 +71,10 @@ def parse_category(text: str, validate: bool = True) -> FinCategory:
     comp: dict[tuple[str, str], str] = {}
     intern = {}.setdefault  # one shared str per distinct id: intern(tok, tok)
 
-    for no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    lines.reverse()  # popped below, so that each line is freed once it is read
+    for no in range(1, len(lines) + 1):
+        raw = lines.pop()
         tok = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tok:
             continue

@@ -150,6 +150,57 @@ def test_is_cover_matches_union_closure_on_fixtures(name, cov):
     assert [is_cover(c) for c in families] == [_ref_is_cover(c) for c in families]
 
 
+def _ref_union_ids(parts):
+    """The parts' ids with the morphisms closed by passes over the whole
+    composition table until one adds nothing, covering unions included."""
+    parent = parts[0].parent
+    objs = set().union(*(p._objset for p in parts))
+    mors = set().union(*(p._mors.keys() for p in parts))
+    changed = True
+    while changed:
+        changed = False
+        for (g, f), h in parent.comp.items():
+            if g in mors and f in mors and h not in mors:
+                mors.add(h)
+                changed = True
+    return objs, mors
+
+
+def _assert_union_matches_the_reference(cover: Cover) -> None:
+    parts = list(cover.parts.values())
+    objs, mors = _ref_union_ids(parts)
+    u = union_closure(parts)
+    assert u == Subcategory._unchecked(cover.parent, objs, mors)
+    assert u.morphisms == tuple(m for m in cover.parent.morphisms if m.name in mors)
+    assert is_cover(cover) == (objs >= cover.parent._objset and mors >= cover.parent._mors.keys())
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["poset", "dag"]), st.booleans())
+def test_union_closure_and_is_cover_match_the_full_table_pass(seed, kind, ideal):
+    rng = random.Random(seed)
+    if kind == "poset":
+        cat = fx.random_poset(rng, rng.randint(2, 7))
+    else:
+        cat = fx.random_dag_category(rng, rng.randint(2, 5), max_morphisms=40)
+    cover = (fx.random_ideal_cover if ideal else fx.random_filter_cover)(rng, cat)
+    families = _families(rng, cover)  # covering, a part short, and non-full parts
+    families.append(Cover(cat, ["1", "2"], {"1": full_subcategory(cat, cat.objects[:1]),
+                                            "2": full_subcategory(cat, cat.objects[-1:])}))
+    for c in families:
+        _assert_union_matches_the_reference(c)
+
+
+def test_covering_union_on_an_unvalidated_parent():
+    # g o f names an arrow the parent never declares; f and g lie in different parts
+    cat = FinCategory.build("U", ["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z")], {("g", "f"): "gf"})
+    assert not validate_category(cat).ok
+    parts = {"1": full_subcategory(cat, ["x", "y"]), "2": full_subcategory(cat, ["y", "z"])}
+    cover = Cover(cat, ["1", "2"], parts)
+    assert _ref_union_ids(list(cover.parts.values()))[1] >= {"gf"}
+    _assert_union_matches_the_reference(cover)
+    assert is_cover(cover)
+
+
 def test_union_of_parts_without_closure_is_detected():
     # parts {x,y} and {y,z} miss k; union_closure adds it, so they do cover
     c = fx.counterexample_category()

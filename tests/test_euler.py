@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from catnerve.covers import Cover, full_subcategory, intersect, whole_subcategory
 from catnerve.euler import (
     EulerResult,
+    _eliminate,
+    _solve_right,
     _triangular_order,
     euler_characteristic,
     format_rational,
@@ -22,6 +24,7 @@ from catnerve.euler import (
 )
 from catnerve.fincat import FinCategory, Mor, validate_category
 from catnerve.grothendieck import ReducedGrothendieck
+from catnerve.homotopy import chain_complex
 from catnerve import fixtures as fx
 
 F = Fraction
@@ -54,10 +57,14 @@ def test_solve_right_inconsistent_is_none():
 
 
 @st.composite
-def linear_systems(draw):
-    """(dense integer matrix, column count, rhs); half the rhs lie in the image."""
+def linear_systems(draw, rational=False):
+    """(dense matrix, column count, rhs); half the rhs lie in the image.
+
+    Entries are ints, or with ``rational`` also non-integral Fractions."""
     r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     entry = st.integers(-3, 3)
+    if rational:
+        entry = entry | st.fractions(-3, 3, max_denominator=4)
     m = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
     if draw(st.booleans()):
         x0 = draw(st.lists(entry, min_size=c, max_size=c))
@@ -292,12 +299,13 @@ def test_substitution_equals_elimination():
         assert all(type(x) is F for x in (res.chi, *res.weighting, *res.coweighting)), cat
 
 
-def _times_z3(cat):
-    mors = [Mor(f"{m.name}+{a}", m.dom, m.cod) for m in cat.morphisms for a in range(3)]
-    comp = {(f"{g}+{b}", f"{f}+{a}"): f"{gf}+{(a + b) % 3}"
-            for (g, f), gf in cat.comp.items() for a in range(3) for b in range(3)}
+def _times_z3(cat, m=3):
+    """``cat x Z/m``, by default ``m = 3``."""
+    mors = [Mor(f"{f.name}+{a}", f.dom, f.cod) for f in cat.morphisms for a in range(m)]
+    comp = {(f"{g}+{b}", f"{f}+{a}"): f"{gf}+{(a + b) % m}"
+            for (g, f), gf in cat.comp.items() for a in range(m) for b in range(m)}
     ids = {x: f"{i}+0" for x, i in cat.identity.items()}
-    return FinCategory(f"{cat.name}xZ3", cat.objects, mors, ids, comp)
+    return FinCategory(f"{cat.name}xZ{m}", cat.objects, mors, ids, comp)
 
 
 def _ei_category(rng, n):
@@ -372,3 +380,172 @@ def test_elimination_kept_where_zeta_is_not_triangular():
         assert _triangular_order(zeta_matrix(cat)) is None, cat
         w, v = _eliminated(cat)
         assert (solve_weighting(cat, "weight"), solve_weighting(cat, "coweight")) == (w, v), cat
+
+
+# -- the solver before fraction-free elimination, kept as the reference ------
+
+def _ref_eliminate(rows):
+    """Echelon basis scaled to leading 1s, in Fractions where a lead is not ±1."""
+    basis = {}
+    for given in rows:
+        row = {j: v for j, v in given.items() if v}
+        while row:
+            lead = min(row)
+            prow = basis.get(lead)
+            if prow is None:
+                a = row[lead]
+                if a != 1:
+                    inv = a if a == -1 else 1 / F(a)
+                    row = {j: v * inv for j, v in row.items()}
+                basis[lead] = row
+                break
+            c = row[lead]
+            for j, v in prow.items():
+                w = row.get(j, 0) - c * v
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return basis
+
+
+def _ref_rank(m, skip=(), leads=None):
+    basis = _ref_eliminate(row for i, row in enumerate(m) if i not in skip)
+    if leads is not None:
+        leads.update(basis)
+    return len(basis)
+
+
+def _ref_solve_right(m, ncols, rhs):
+    basis = _ref_eliminate({**row, ncols: b} for row, b in zip(m, rhs))
+    if ncols in basis:
+        return None
+    x = [F(0)] * ncols
+    for lead in sorted(basis, reverse=True):
+        row = basis[lead]
+        x[lead] = F(row.get(ncols, 0)) - sum(
+            (v * x[j] for j, v in row.items() if lead < j < ncols), F(0))
+    return tuple(x)
+
+
+def _ref_solve(z, order, side):
+    """Substitution in ints while every diagonal entry is 1, else in Fractions;
+    the elimination without a triangular order."""
+    n = len(z)
+    if order is None:
+        if side == "coweight":
+            z = [{i: row[j] for i, row in enumerate(z) if j in row} for j in range(n)]
+        return _ref_solve_right(z, n, [F(1)] * n)
+    x = [1] * n
+    if side == "weight":
+        for i in reversed(order):
+            row = z[i]
+            s = 1 - sum(v * x[j] for j, v in row.items() if j != i)
+            x[i] = s if row[i] == 1 else F(s, row[i])
+    else:
+        for i in order:
+            row = z[i]
+            vi = x[i] = x[i] if row[i] == 1 else F(x[i], row[i])
+            for j, v in row.items():
+                if j != i:
+                    x[j] -= vi * v
+    return tuple(map(F, x))
+
+
+def _ref_euler_characteristic(cat):
+    z = zeta_matrix(cat)
+    tri = _triangular_order(z)
+    w, v = (_ref_solve(z, tri and tri[0], side) for side in ("weight", "coweight"))
+    if w is None or v is None:
+        missing = [name for name, vec in (("weighting", w), ("coweighting", v)) if vec is None]
+        return EulerResult(None, w, v, reason="no " + " and no ".join(missing))
+    return EulerResult(sum(w, F(0)), w, v)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows over at most 7 columns, ints or also Fractions, zeros kept in some."""
+    c = draw(st.integers(0, 7))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        entry = entry | st.fractions(-3, 3, max_denominator=5)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), max_size=7))
+    keep_zeros = draw(st.booleans())
+    return [{j: v for j, v in enumerate(row) if v or keep_zeros} for row in rows]
+
+
+@settings(max_examples=200)
+@given(sparse_matrices(), st.sets(st.integers(0, 7)))
+def test_rank_and_leads_match_the_reference(m, skip):
+    leads, ref_leads = set(), set()
+    assert rank(m, skip=skip, leads=leads) == _ref_rank(m, skip=skip, leads=ref_leads)
+    assert leads == ref_leads
+    basis = _eliminate(row for i, row in enumerate(m) if i not in skip)
+    for lead, row in basis.items():  # integral, primitive, positive lead
+        assert all(type(v) is int for v in row.values()) and min(row) == lead and row[lead] > 0
+        assert math.gcd(*row.values()) == 1
+
+
+def _boundary_inputs(rng, kind):
+    if kind == "poset":
+        return fx.random_poset(rng, rng.randint(2, 8)), None
+    if kind == "dag":
+        return fx.random_dag_category(rng, rng.randint(2, 5), max_morphisms=40), None
+    return _times_z3(fx.random_poset(rng, rng.randint(2, 4)), rng.randint(2, 3)), 3
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**9), st.sampled_from(["poset", "dag", "product"]))
+def test_cleared_boundary_ranks_and_leads_match_the_reference(seed, kind):
+    cat, cut = _boundary_inputs(random.Random(seed), kind)
+    cleared: set[int] = set()
+    for d in reversed(chain_complex(cat, cut).boundaries):
+        leads, ref_leads = set(), set()
+        assert rank(d, skip=cleared, leads=leads) == _ref_rank(d, skip=cleared, leads=ref_leads)
+        assert leads == ref_leads
+        cleared = leads
+
+
+@settings(max_examples=200)
+@given(linear_systems(rational=True))
+def test_solve_right_matches_the_reference(system):
+    m, c, b = system
+    rows = _rows(m, range(c))
+    x = solve_right(rows, c, b)
+    assert x == _ref_solve_right(rows, c, b)
+    if x is not None:
+        assert all(type(v) is F for v in x)
+        scaled, d = _solve_right(rows, c, b)
+        assert type(d) is int and d > 0 and all(type(v) is int for v in scaled)
+        assert tuple(F(v, d) for v in scaled) == x
+
+
+def test_solve_right_reference_cases():
+    half = F(1, 2)
+    cases = [
+        ([{0: half, 1: 1}, {0: 1, 1: F(2, 3)}], 2, [F(1), F(-1, 3)]),  # unique, rational
+        ([{0: 2, 1: 4, 2: 6}], 3, [F(3, 5)]),  # underdetermined
+        ([{0: half, 1: 1}, {0: 1, 1: 2}], 2, [F(1), F(3)]),  # inconsistent
+        ([{1: 3}, {}], 2, [F(1), F(0)]),  # free column 0, zero row
+    ]
+    for m, c, b in cases:
+        assert solve_right(m, c, b) == _ref_solve_right(m, c, b), (m, b)
+    assert solve_right(*cases[2]) is None
+    assert solve_right(*cases[1]) == (F(3, 10), F(0), F(0))
+
+
+def _weighting_inputs(rng):
+    cats = [fx.no_weighting_category(), FinCategory.build("E", [], []),
+            FinCategory.build("C3", ["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z"), ("h", "z", "x")])]
+    cats.append(_times_z3(fx.random_poset(rng, rng.randint(1, 6)), rng.randint(1, 4)))
+    cats.append(fx.random_dag_category(rng, rng.randint(1, 6), max_morphisms=60))
+    return cats + [c.opposite() for c in cats]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**9))
+def test_weightings_and_chi_match_the_reference(seed):
+    for cat in _weighting_inputs(random.Random(seed)):
+        res, ref = euler_characteristic(cat), _ref_euler_characteristic(cat)
+        assert res == ref and repr(res) == repr(ref), cat
+        assert (solve_weighting(cat, "weight"), solve_weighting(cat, "coweight")) == ref[1:3], cat
