@@ -2,21 +2,27 @@
 
 Exit codes: 0 success, 1 a check ran and failed (axiom violations,
 mismatched characteristics, differing Betti vectors, ...), 2 the input
-could not be used at all (unreadable file, parse error, usage error).
-Output is deterministic for a given input: object, morphism and label
-orders are the declaration orders.
+could not be used at all (unreadable or undecodable file, parse error,
+usage error).  Output is deterministic for a given input: object,
+morphism and label orders are the declaration orders.
 
-Only parsing (``io``, and through it ``covers`` and ``fincat``) is
-imported up front; each command imports the other modules it needs in
-its own body, so a process loads only what its command uses.
+Arguments are parsed by the standard library's ``argparse``, one
+subparser per command, with abbreviated options refused.  ``main`` is
+the one entry point: the ``catnerve`` console script, ``python -m
+catnerve.cli``, the tests (through ``click.testing.CliRunner``) and the
+benchmark harness all call it.  Only parsing (``io``, and through it
+``covers`` and ``fincat``) is imported up front; each command imports
+the other modules it needs in its own body, so a process loads only
+what its command uses.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
-
-import click
 
 from .covers import VARIANTS, Cover, classify_subcategory, is_cover
 from .fincat import FinCategory, validate_category
@@ -24,15 +30,17 @@ from .io import InvalidStructureError, ParseError, emit_category, parse_category
 
 
 def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         _fail(str(e), 2)
+    except UnicodeDecodeError as e:
+        _fail(f"{path}: {e}", 2)
 
 
 def _load_category(path: str, validate: bool = True) -> FinCategory:
@@ -51,13 +59,6 @@ def _load_cover(cat_path: str, cover_path: str) -> tuple[FinCategory, Cover]:
     return cat, cover
 
 
-@click.group()
-def main() -> None:
-    """Nerve and Euler characteristic toolkit for finite categories."""
-
-
-@main.command()
-@click.argument("cat_file")
 def validate(cat_file: str) -> None:
     """Check the category axioms; report every violation."""
     try:
@@ -66,16 +67,13 @@ def validate(cat_file: str) -> None:
         _fail(f"{cat_file}: {e}", 2)
     report = validate_category(cat)
     if report.ok:
-        click.echo(f"ok: category {cat.name} ({len(cat.objects)} objects, {len(cat.morphisms)} morphisms)")
+        print(f"ok: category {cat.name} ({len(cat.objects)} objects, {len(cat.morphisms)} morphisms)")
     else:
         for line in report.messages():
-            click.echo(line)
+            print(line)
         sys.exit(1)
 
 
-@main.command()
-@click.argument("cat_file")
-@click.option("--weights", is_flag=True, help="also print the weighting and coweighting")
 def euler(cat_file: str, weights: bool) -> None:
     """Exact Euler characteristic via weightings."""
     from .euler import euler_characteristic, format_rational
@@ -83,20 +81,15 @@ def euler(cat_file: str, weights: bool) -> None:
     cat = _load_category(cat_file)
     res = euler_characteristic(cat)
     if res.chi is None:
-        click.echo(f"chi undefined: {res.reason}")
+        print(f"chi undefined: {res.reason}")
         sys.exit(1)
-    click.echo(f"chi = {format_rational(res.chi)}")
+    print(f"chi = {format_rational(res.chi)}")
     if weights:
         for label, vec in (("weighting", res.weighting), ("coweighting", res.coweighting)):
             pairs = " ".join(f"{x}={format_rational(q)}" for x, q in zip(cat.objects, vec))
-            click.echo(f"{label}: {pairs}")
+            print(f"{label}: {pairs}")
 
 
-@main.command("cover-check")
-@click.argument("cat_file")
-@click.argument("cover_file")
-@click.option("--require-ideal", is_flag=True, help="fail unless every part is an ideal")
-@click.option("--require-filter", is_flag=True, help="fail unless every part is a filter")
 def cover_check(cat_file: str, cover_file: str, require_ideal: bool, require_filter: bool) -> None:
     """Verify the parts cover the category; classify each part."""
     _, cover = _load_cover(cat_file, cover_file)
@@ -104,7 +97,7 @@ def cover_check(cat_file: str, cover_file: str, require_ideal: bool, require_fil
     for label in cover.index_order:
         part = cover.parts[label]
         cls = classify_subcategory(part)
-        click.echo(
+        print(
             f"part {label}: objects={len(part.objects)}"
             f" full={'yes' if part.full else 'no'}"
             f" ideal={'yes' if cls.is_ideal else 'no'}"
@@ -115,16 +108,11 @@ def cover_check(cat_file: str, cover_file: str, require_ideal: bool, require_fil
         if require_filter and not cls.is_filter:
             failed = True
     covering = is_cover(cover)
-    click.echo(f"covers: {'yes' if covering else 'no'}")
+    print(f"covers: {'yes' if covering else 'no'}")
     if not covering or failed:
         sys.exit(1)
 
 
-@main.command()
-@click.argument("cat_file")
-@click.argument("cover_file")
-@click.option("--level", "level_n", type=int, required=True, help="nerve level (tuples of length level+1)")
-@click.option("--variant", type=click.Choice(VARIANTS), default="ordinary", show_default=True)
 def cech(cat_file: str, cover_file: str, level_n: int, variant: str) -> None:
     """List the intersection pieces at one nerve level."""
     from .cech import level
@@ -134,18 +122,13 @@ def cech(cat_file: str, cover_file: str, level_n: int, variant: str) -> None:
         pieces = level(cover, level_n, variant, ordinary_cap=max(level_n, 0))
     except ValueError as e:
         _fail(str(e), 2)
-    click.echo(f"variant {variant}, level {level_n}: {len(pieces)} pieces")
+    print(f"variant {variant}, level {level_n}: {len(pieces)} pieces")
     for labels, piece in pieces:
         objs = " ".join(piece.objects) or "-"
-        click.echo(f"({','.join(labels)}): objects {objs}")
+        print(f"({','.join(labels)}): objects {objs}")
 
 
-@main.command()
-@click.argument("cat_file")
-@click.argument("cover_file")
-@click.option("--emit", "emit_path", default=None, metavar="PATH",
-              help="write the total category in file format ('-' for stdout)")
-def gr(cat_file: str, cover_file: str, emit_path: str) -> None:
+def gr(cat_file: str, cover_file: str, emit_path: str | None) -> None:
     """Build the total category of the reduced nerve."""
     from .euler import euler_characteristic, format_rational
     from .grothendieck import ReducedGrothendieck
@@ -158,22 +141,19 @@ def gr(cat_file: str, cover_file: str, emit_path: str) -> None:
     if emit_path is not None:
         text = emit_category(g.category)
         if emit_path == "-":
-            click.echo(text, nl=False)
+            sys.stdout.write(text)
             return
         try:
-            with open(emit_path, "w") as fh:
+            with open(emit_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
             _fail(str(e), 2)
-    click.echo(f"objects: {len(g.objects)}")
-    click.echo(f"non-identity morphisms: {len(g.morphisms)}")
+    print(f"objects: {len(g.objects)}")
+    print(f"non-identity morphisms: {len(g.morphisms)}")
     res = euler_characteristic(g.category)
-    click.echo(f"chi = {format_rational(res.chi) if res.chi is not None else 'undefined'}")
+    print(f"chi = {format_rational(res.chi) if res.chi is not None else 'undefined'}")
 
 
-@main.command("incl-excl")
-@click.argument("cat_file")
-@click.argument("cover_file")
 def incl_excl(cat_file: str, cover_file: str) -> None:
     """Inclusion-exclusion over the cover versus the true characteristic."""
     from .euler import alternating_sum, euler_characteristic, format_rational, inclusion_exclusion_terms
@@ -182,28 +162,25 @@ def incl_excl(cat_file: str, cover_file: str) -> None:
     terms = inclusion_exclusion_terms(cover)
     for labels, chi in terms:
         shown = format_rational(chi) if chi is not None else "undefined"
-        click.echo(f"term ({','.join(labels)}): chi = {shown}")
+        print(f"term ({','.join(labels)}): chi = {shown}")
     total = alternating_sum(terms)
     parent_chi = euler_characteristic(cat).chi
-    click.echo(f"sum = {format_rational(total) if total is not None else 'undefined'}")
-    click.echo(
+    print(f"sum = {format_rational(total) if total is not None else 'undefined'}")
+    print(
         f"chi({cat.name}) = "
         f"{format_rational(parent_chi) if parent_chi is not None else 'undefined'}"
     )
     if total is None or parent_chi is None:
-        click.echo("UNDEFINED")
+        print("UNDEFINED")
         sys.exit(1)
     if total == parent_chi:
-        click.echo("MATCH")
+        print("MATCH")
     else:
-        click.echo("MISMATCH")
+        print("MISMATCH")
         sys.exit(1)
 
 
-@main.command()
-@click.argument("cat_file")
-@click.option("--max-dim", type=click.IntRange(min=0), default=None, help="truncate the nerve at this dimension")
-def homology(cat_file: str, max_dim) -> None:
+def homology(cat_file: str, max_dim: int | None) -> None:
     """Betti numbers of the nerve over the rationals."""
     from .euler import format_rational
     from .homotopy import betti_numbers
@@ -213,19 +190,15 @@ def homology(cat_file: str, max_dim) -> None:
         rep = betti_numbers(cat, max_dim)
     except ValueError:  # without --max-dim the nerve of a non-acyclic category never ends
         _fail(f"category {cat.name} is not acyclic; pass --max-dim to truncate", 1)
-    click.echo("dim\tbasis\tbetti")
+    print("dim\tbasis\tbetti")
     for k, (n, b) in enumerate(zip(rep.basis_dims, rep.betti)):
-        click.echo(f"{k}\t{n}\t{b}")
-    click.echo(f"euler_top = {format_rational(rep.euler_top)}")
+        print(f"{k}\t{n}\t{b}")
+    print(f"euler_top = {format_rational(rep.euler_top)}")
     if rep.truncated:
-        click.echo(f"truncated at dim {len(rep.betti) - 1}")
+        print(f"truncated at dim {len(rep.betti) - 1}")
 
 
-@main.command("nerve-compare")
-@click.argument("cat_file")
-@click.argument("cover_file")
-@click.option("--max-dim", type=click.IntRange(min=0), default=None, help="truncate both nerves at this dimension")
-def nerve_compare(cat_file: str, cover_file: str, max_dim) -> None:
+def nerve_compare(cat_file: str, cover_file: str, max_dim: int | None) -> None:
     """Betti numbers of the category against its reduced-nerve total category."""
     from .grothendieck import ReducedGrothendieck
     from .homotopy import compare_homology
@@ -242,22 +215,15 @@ def nerve_compare(cat_file: str, cover_file: str, max_dim) -> None:
     n = cmpr.compared_through + 1
     left = " ".join(str(b) for b in (cmpr.left.betti + (0,) * n)[:n])
     right = " ".join(str(b) for b in (cmpr.right.betti + (0,) * n)[:n])
-    click.echo(f"category betti: {left}")
-    click.echo(f"gr betti: {right}")
+    print(f"category betti: {left}")
+    print(f"gr betti: {right}")
     if cmpr.equal:
-        click.echo(f"betti equal: {left}")
+        print(f"betti equal: {left}")
     else:
-        click.echo(f"betti differ: {left} vs {right}")
+        print(f"betti differ: {left} vs {right}")
         sys.exit(1)
 
 
-@main.command()
-@click.argument("cat_file")
-@click.argument("cover_file")
-@click.option("--diagnostic", is_flag=True, help="force the hom-count comparison on non-ideal covers")
-@click.option("--ordered", "ordered_side", is_flag=True, help="check the ordered-to-reduced comparison instead")
-@click.option("--max-len", type=click.IntRange(min=1), default=3, show_default=True,
-              help="tuple length bound for --ordered")
 def adjunction(cat_file: str, cover_file: str, diagnostic: bool, ordered_side: bool, max_len: int) -> None:
     """Hom-set counting checks for the comparison functors."""
     from .grothendieck import adjunction_check_pi, adjunction_check_R
@@ -271,13 +237,91 @@ def adjunction(cat_file: str, cover_file: str, diagnostic: bool, ordered_side: b
     except ValueError as e:
         _fail(str(e), 1)
     for line in report.details:
-        click.echo(line)
+        print(line)
     if report.ok:
-        click.echo("adjunction holds")
+        print("adjunction holds")
     else:
         for line in report.messages():
-            click.echo(line)
+            print(line)
         sys.exit(1)
+
+
+def _at_least(low: int):
+    """An argparse ``type`` accepting the integers ``>= low``."""
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+    return integer
+
+
+def _parser(prog: str = "catnerve") -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Nerve and Euler characteristic toolkit for finite categories.",
+        allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *files: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(run.__name__.replace("_", "-"), help=run.__doc__,
+                                  description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        for name in files:
+            sub.add_argument(name)
+        return sub
+
+    command(validate, "cat_file")
+    sub = command(euler, "cat_file")
+    sub.add_argument("--weights", action="store_true", help="also print the weighting and coweighting")
+    sub = command(cover_check, "cat_file", "cover_file")
+    sub.add_argument("--require-ideal", action="store_true", help="fail unless every part is an ideal")
+    sub.add_argument("--require-filter", action="store_true", help="fail unless every part is a filter")
+    sub = command(cech, "cat_file", "cover_file")
+    sub.add_argument("--level", dest="level_n", type=int, required=True,
+                     help="nerve level (tuples of length level+1)")
+    sub.add_argument("--variant", choices=VARIANTS, default="ordinary", help="(default: ordinary)")
+    sub = command(gr, "cat_file", "cover_file")
+    sub.add_argument("--emit", dest="emit_path", default=None, metavar="PATH",
+                     help="write the total category in file format ('-' for stdout)")
+    command(incl_excl, "cat_file", "cover_file")
+    sub = command(homology, "cat_file")
+    sub.add_argument("--max-dim", type=_at_least(0), default=None, help="truncate the nerve at this dimension")
+    sub = command(nerve_compare, "cat_file", "cover_file")
+    sub.add_argument("--max-dim", type=_at_least(0), default=None, help="truncate both nerves at this dimension")
+    sub = command(adjunction, "cat_file", "cover_file")
+    sub.add_argument("--diagnostic", action="store_true", help="force the hom-count comparison on non-ideal covers")
+    sub.add_argument("--ordered", dest="ordered_side", action="store_true",
+                     help="check the ordered-to-reduced comparison instead")
+    sub.add_argument("--max-len", type=_at_least(1), default=3,
+                     help="tuple length bound for --ordered (default: 3)")
+    return parser
+
+
+def main(args: Sequence[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True) -> None:
+    """Run one command on ``args`` (default ``sys.argv[1:]``).
+
+    Returns when the command exits 0 and raises ``SystemExit`` with the
+    exit code otherwise, whatever ``standalone_mode`` says.  The
+    signature, ``main.main`` and ``main.name`` are the calling
+    convention of ``click.testing.CliRunner`` and of the benchmark
+    harness.
+    """
+    opts = vars(_parser(prog_name or "catnerve").parse_args(args))
+    try:
+        opts.pop("run")(**opts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``catnerve gr --emit - | head``): exit 1 without a
+        # traceback, and point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+main.name = "catnerve"
+main.main = main
 
 
 if __name__ == "__main__":

@@ -430,6 +430,37 @@ def test_cli_usage_error_is_exit_2(files):
     assert run("no-such-command").exit_code == 2
 
 
+USAGE_ERRORS = {
+    "abbreviated-option": ("euler", "{cat}", "--weight"),
+    "unknown-option": ("euler", "{cat}", "--bogus"),
+    "extra-positional": ("euler", "{cat}", "extra"),
+    "non-integer-level": ("cech", "{cat}", "{cov}", "--level", "x"),
+    "unknown-variant": ("cech", "{cat}", "{cov}", "--level", "1", "--variant", "bogus"),
+    "no-command": (),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_cli_usage_errors_print_nothing(files, argv):
+    cat, cov = files
+    res = run(*(a.format(cat=cat, cov=cov) for a in argv))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+
+
+def test_main_returns_on_exit_0_and_raises_the_exit_code(files, capsys):
+    # the calling convention of benchmark/run.py's in-process jobs
+    cat, cov = files
+    assert main.name == "catnerve"
+    assert main.main(args=["validate", cat], prog_name="catnerve", standalone_mode=False) is None
+    assert capsys.readouterr().out == "ok: category C (3 objects, 7 morphisms)\n"
+    for argv, code in ((["incl-excl", cat, cov], 1), (["cech", cat, cov], 2)):
+        with pytest.raises(SystemExit) as raised:
+            main.main(args=argv, prog_name="catnerve", standalone_mode=False)
+        assert raised.value.code == code
+
+
 BAD_BOUNDS = [
     (("homology", "{cat}", "--max-dim", "-3"), "--max-dim"),
     (("homology", "{cat}", "--max-dim", "-1"), "--max-dim"),
@@ -445,7 +476,7 @@ def test_cli_bad_bounds_are_usage_errors(files, argv, option):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
-    assert f"Invalid value for '{option}'" in res.stderr
+    assert option in res.stderr and argv[-1] in res.stderr
 
 
 def test_cli_smallest_bounds_are_accepted(files):
@@ -458,18 +489,56 @@ def test_cli_smallest_bounds_are_accepted(files):
     assert res.exit_code == 0 and res.output.endswith("adjunction holds\n")
 
 
-@pytest.mark.parametrize("argv,option", BAD_BOUNDS)
-def test_cli_bad_bounds_print_no_traceback(argv, option):
+def _cli_process(*args: str, **kwargs) -> subprocess.Popen:
+    """``python -m catnerve.cli`` in a fresh interpreter, run from the repository root."""
     root = Path(__file__).resolve().parent.parent
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(root / "src") + (os.pathsep + path if path else ""))
+    return subprocess.Popen([sys.executable, "-m", "catnerve.cli", *args], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def _cli_subprocess(*args: str) -> tuple[int, str, str]:
+    with _cli_process(*args) as p:
+        out, err = p.communicate(timeout=60)
+    return p.returncode, out, err
+
+
+@pytest.mark.parametrize("argv,option", BAD_BOUNDS)
+def test_cli_bad_bounds_print_no_traceback(argv, option):
     args = [a.format(cat="fixtures/chain4.fincat", cov="fixtures/chain4_ideal.cover") for a in argv]
-    p = subprocess.run([sys.executable, "-m", "catnerve.cli", *args], cwd=root, env=env,
-                       capture_output=True, text=True, timeout=60)
-    assert p.returncode == 2
-    assert p.stdout == ""
-    assert "Traceback" not in p.stderr
-    assert f"Invalid value for '{option}'" in p.stderr
+    code, out, err = _cli_subprocess(*args)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert option in err and argv[-1] in err
+
+
+@pytest.mark.parametrize("bad", ["category", "cover"])
+def test_cli_undecodable_file_is_exit_2(tmp_path, bad):
+    cat, cov = tmp_path / "c.fincat", tmp_path / "c.cover"
+    cat.write_bytes(b"category C\nobjects x\xff\n" if bad == "category" else CEX.encode())
+    cov.write_bytes(b"cover U of C\npart 1 : x\xff\n" if bad == "cover" else CEX_COVER.encode())
+    argv = ["validate", str(cat)] if bad == "category" else ["cover-check", str(cat), str(cov)]
+    code, out, err = _cli_subprocess(*argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {cat if bad == 'category' else cov}: ")
+
+
+def test_cli_closed_stdout_is_exit_1_without_traceback(tmp_path):
+    # one violation line per missing composite: far more output than a pipe holds
+    text = emit_category(fx.random_poset(random.Random(3), 30))
+    bad = tmp_path / "nocomp.fincat"
+    bad.write_text("".join(line for line in text.splitlines(keepends=True) if not line.startswith("comp ")))
+    with _cli_process("validate", str(bad)) as p:
+        assert p.stdout.read(100)
+        p.stdout.close()
+        err = p.stderr.read()
+        p.wait(timeout=60)
+    assert p.returncode == 1
+    assert "Traceback" not in err
 
 
 def test_cli_euler(files):
