@@ -318,6 +318,8 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None, standa
         # traceback, and point stdout at devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except KeyboardInterrupt:
+        _fail("interrupted", 1)
 
 
 main.name = "catnerve"

@@ -489,29 +489,25 @@ def test_cli_smallest_bounds_are_accepted(files):
     assert res.exit_code == 0 and res.output.endswith("adjunction holds\n")
 
 
-def _cli_process(*args: str, **kwargs) -> subprocess.Popen:
-    """``python -m catnerve.cli`` in a fresh interpreter, run from the repository root."""
-    root = Path(__file__).resolve().parent.parent
+def _cli_env() -> dict[str, str]:
+    """The environment in which ``python -m catnerve.cli`` runs this checkout's code."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(root / "src") + (os.pathsep + path if path else ""))
-    return subprocess.Popen([sys.executable, "-m", "catnerve.cli", *args], cwd=root, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs)
+    return dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src") + (os.pathsep + path if path else ""))
 
 
-def _cli_subprocess(*args: str) -> tuple[int, str, str]:
-    with _cli_process(*args) as p:
-        out, err = p.communicate(timeout=60)
-    return p.returncode, out, err
+def _cli_subprocess(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "catnerve.cli", *args], cwd=FIXTURES.parent, env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("argv,option", BAD_BOUNDS)
 def test_cli_bad_bounds_print_no_traceback(argv, option):
     args = [a.format(cat="fixtures/chain4.fincat", cov="fixtures/chain4_ideal.cover") for a in argv]
-    code, out, err = _cli_subprocess(*args)
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert option in err and argv[-1] in err
+    p = _cli_subprocess(*args)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert "Traceback" not in p.stderr
+    assert option in p.stderr and argv[-1] in p.stderr
 
 
 @pytest.mark.parametrize("bad", ["category", "cover"])
@@ -520,11 +516,23 @@ def test_cli_undecodable_file_is_exit_2(tmp_path, bad):
     cat.write_bytes(b"category C\nobjects x\xff\n" if bad == "category" else CEX.encode())
     cov.write_bytes(b"cover U of C\npart 1 : x\xff\n" if bad == "cover" else CEX_COVER.encode())
     argv = ["validate", str(cat)] if bad == "category" else ["cover-check", str(cat), str(cov)]
-    code, out, err = _cli_subprocess(*argv)
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert err.startswith(f"error: {cat if bad == 'category' else cov}: ")
+    p = _cli_subprocess(*argv)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert "Traceback" not in p.stderr
+    assert p.stderr.startswith(f"error: {cat if bad == 'category' else cov}: ")
+
+
+def test_cli_interrupt_is_exit_1(files, monkeypatch):
+    def interrupted(cat):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("catnerve.cli.validate_category", interrupted)
+    res = run("validate", files[0])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr == "error: interrupted\n"
 
 
 def test_cli_closed_stdout_is_exit_1_without_traceback(tmp_path):
@@ -532,7 +540,8 @@ def test_cli_closed_stdout_is_exit_1_without_traceback(tmp_path):
     text = emit_category(fx.random_poset(random.Random(3), 30))
     bad = tmp_path / "nocomp.fincat"
     bad.write_text("".join(line for line in text.splitlines(keepends=True) if not line.startswith("comp ")))
-    with _cli_process("validate", str(bad)) as p:
+    with subprocess.Popen([sys.executable, "-m", "catnerve.cli", "validate", str(bad)], env=_cli_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as p:
         assert p.stdout.read(100)
         p.stdout.close()
         err = p.stderr.read()
