@@ -19,10 +19,8 @@ _EXPORTS = {
         "identity_functor", "validate_category", "validate_functor",
     ),
     "covers": (
-        "Classification", "Cover", "Subcategory", "classify_subcategory", "complement",
-        "filter_closure", "full_subcategory", "ideal_closure", "intersect", "is_cover",
-        "opposite_subcategory", "to_two_point_poset", "two_point_poset", "union_closure",
-        "whole_subcategory",
+        "Cover", "Subcategory", "classify_subcategory", "filter_closure", "full_subcategory",
+        "ideal_closure", "intersect", "is_cover", "opposite_subcategory", "union_closure",
     ),
     "cech": (
         "check_simplicial_identities", "delta_face", "delta_degeneracy", "induced_functor",
@@ -35,8 +33,7 @@ _EXPORTS = {
     ),
     "euler": (
         "EulerResult", "euler_characteristic", "format_rational", "inclusion_exclusion_sum",
-        "inclusion_exclusion_terms", "mobius_oracle", "solve_weighting", "two_set_formula",
-        "zeta_matrix",
+        "inclusion_exclusion_terms", "mobius_oracle", "solve_weighting", "zeta_matrix",
     ),
     "homotopy": (
         "HomologyComparison", "HomologyReport", "betti_numbers",

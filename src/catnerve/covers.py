@@ -6,7 +6,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .fincat import FinCategory, FunctorMap
+from .fincat import FinCategory
 
 # label tuple disciplines: any tuple, weakly increasing, strictly increasing
 VARIANTS = ("ordinary", "ordered", "reduced")
@@ -109,10 +109,6 @@ def full_subcategory(cat: FinCategory, objects: Iterable[str]) -> Subcategory:
     objset = set(objects)
     mors = [m.name for m in cat.morphisms if m.dom in objset and m.cod in objset]
     return Subcategory(cat, objset, mors)
-
-
-def whole_subcategory(cat: FinCategory) -> Subcategory:
-    return full_subcategory(cat, cat.objects)
 
 
 def intersect(parts: Sequence[Subcategory]) -> Subcategory:
@@ -287,41 +283,6 @@ def classify_subcategory(sub: Subcategory) -> Classification:
         elif x in inside and y not in inside:  # an arrow out of the part
             is_filter = False
     return Classification(is_ideal, is_filter)
-
-
-def complement(sub: Subcategory) -> Subcategory:
-    """Full subcategory on the complementary objects (ideal <-> filter)."""
-    if not sub.full:
-        raise ValueError("complement requires a full subcategory")
-    return full_subcategory(sub.parent, [x for x in sub.parent.objects if x not in sub._objset])
-
-
-def two_point_poset() -> FinCategory:
-    """The poset 0 < 1 as a category (single arrow ``le``)."""
-    return FinCategory.build("P2", ["0", "1"], [("le", "0", "1")])
-
-
-def to_two_point_poset(sub: Subcategory) -> FunctorMap:
-    """Classifying functor of an ideal: the parent maps onto 0 < 1.
-
-    Objects inside the ideal land on 0, the rest on 1; the ideal is
-    recovered as the fiber over 0.
-    """
-    if not classify_subcategory(sub).is_ideal:
-        raise ValueError("to_two_point_poset requires an ideal")
-    parent = sub.parent
-    target = two_point_poset()
-    object_map = {x: "0" if x in sub._objset else "1" for x in parent.objects}
-    morphism_map = {}
-    for m in parent.morphisms:
-        a, b = object_map[m.dom], object_map[m.cod]
-        if a == b:
-            morphism_map[m.name] = target.identity_name(a)
-        elif (a, b) == ("0", "1"):
-            morphism_map[m.name] = "le"
-        else:  # arrow into the ideal from outside: contradicts ideal-ness
-            raise ValueError(f"morphism {m.name!r} enters the ideal from outside")
-    return FunctorMap(parent, target, object_map, morphism_map)
 
 
 def _closure(cat: FinCategory, objects: Iterable[str], down: bool) -> Subcategory:

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .covers import Cover, Subcategory, classify_subcategory, intersect, union_closure
-from .fincat import FinCategory, ValidationReport, Violation
+from .covers import Cover
+from .fincat import FinCategory
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -226,16 +226,17 @@ def inclusion_exclusion_terms(
 ) -> list[tuple[tuple[str, ...], Optional[Fraction]]]:
     """chi of every strictly increasing intersection, in level-lex order.
 
-    Empty intersections are kept (their chi is 0), so the alternating
-    sum below matches the literal formula term by term.  The pieces are
-    the cover's own (``Cover.piece``), each a category in its own right,
-    so no category is copied here.
+    Empty intersections are kept with chi 0, found without a solve, so
+    the alternating sum below matches the literal formula term by term.
+    The pieces are the cover's own (``Cover.piece``), each a category in
+    its own right, so no category is copied here.
     """
-    return [
-        (labels, euler_characteristic(cover.piece(labels)).chi)
-        for n in range(len(cover.index_order))
-        for labels in cover.tuples(n + 1, "reduced")
-    ]
+    terms = []
+    for n in range(1, len(cover.index_order) + 1):
+        for labels in cover.tuples(n, "reduced"):
+            piece = cover.piece(labels)
+            terms.append((labels, euler_characteristic(piece).chi if piece.objects else ZERO))
+    return terms
 
 
 def alternating_sum(
@@ -258,38 +259,6 @@ def inclusion_exclusion_sum(cover: Cover) -> Optional[Fraction]:
     fails in general (see the two-part counterexample in the tests).
     """
     return alternating_sum(inclusion_exclusion_terms(cover))
-
-
-def two_set_formula(a: Subcategory, b: Subcategory) -> ValidationReport:
-    """chi(A u B) = chi(A) + chi(B) - chi(A n B) for two ideals or two filters.
-
-    Hypothesis violations are reported, not thrown; the report's details
-    list every chi value that could be computed.
-    """
-    v: list[Violation] = []
-    details: list[str] = []
-    if a.parent != b.parent:
-        return ValidationReport((Violation("parents", (), "subcategories have different parents"),))
-    ca, cb = classify_subcategory(a), classify_subcategory(b)
-    if not ((ca.is_ideal and cb.is_ideal) or (ca.is_filter and cb.is_filter)):
-        v.append(Violation(
-            "hypothesis", (),
-            "parts are not both ideals or both filters; the two-set formula can fail "
-            f"(A: {ca}, B: {cb})",
-        ))
-    values = {}
-    for label, sub in (("A", a), ("B", b), ("AnB", intersect([a, b])), ("AuB", union_closure([a, b]))):
-        chi = euler_characteristic(sub).chi
-        values[label] = chi
-        details.append(f"chi({label}) = {'undefined' if chi is None else chi}")
-        if chi is None:
-            v.append(Violation("hypothesis", (label,), f"chi({label}) does not exist"))
-    if not v:
-        lhs = values["AuB"]
-        rhs = values["A"] + values["B"] - values["AnB"]
-        if lhs != rhs:
-            v.append(Violation("equality", (), f"chi(AuB) = {lhs} but chi(A)+chi(B)-chi(AnB) = {rhs}"))
-    return ValidationReport(tuple(v), details=tuple(details))
 
 
 def mobius_oracle(cat: FinCategory) -> Fraction:

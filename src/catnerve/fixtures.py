@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .covers import (
-    Cover,
-    Subcategory,
-    full_subcategory,
-    ideal_closure,
-    filter_closure,
-    whole_subcategory,
-)
+from .covers import Cover, Subcategory, filter_closure, full_subcategory, ideal_closure
 from .fincat import FinCategory, Mor, topological_order
+
+
+def _two_part_cover(
+    cat: FinCategory, first: Iterable[str], second: Iterable[str], name: str
+) -> Cover:
+    """The cover labelled "1", "2" by the full subcategories on two object sets."""
+    parts = {"1": full_subcategory(cat, first), "2": full_subcategory(cat, second)}
+    return Cover(cat, ["1", "2"], parts, name=name)
 
 
 # -- fixed categories -------------------------------------------------------
@@ -42,12 +43,7 @@ def counterexample_category() -> FinCategory:
 def counterexample_cover(cat: Optional[FinCategory] = None) -> Cover:
     """Part 1 = full on {x, y} (an ideal), part 2 = full on {y, z} (a filter)."""
     cat = cat or counterexample_category()
-    return Cover(
-        cat,
-        ["1", "2"],
-        {"1": full_subcategory(cat, ["x", "y"]), "2": full_subcategory(cat, ["y", "z"])},
-        name="U",
-    )
+    return _two_part_cover(cat, ["x", "y"], ["y", "z"], "U")
 
 
 def poset_v() -> FinCategory:
@@ -59,12 +55,7 @@ def poset_v() -> FinCategory:
 
 def poset_v_ideal_cover(cat: Optional[FinCategory] = None) -> Cover:
     cat = cat or poset_v()
-    return Cover(
-        cat,
-        ["1", "2"],
-        {"1": full_subcategory(cat, ["c", "a"]), "2": full_subcategory(cat, ["c", "b"])},
-        name="V_ideals",
-    )
+    return _two_part_cover(cat, ["c", "a"], ["c", "b"], "V_ideals")
 
 
 def poset_lambda() -> FinCategory:
@@ -76,12 +67,7 @@ def poset_lambda() -> FinCategory:
 
 def poset_lambda_filter_cover(cat: Optional[FinCategory] = None) -> Cover:
     cat = cat or poset_lambda()
-    return Cover(
-        cat,
-        ["1", "2"],
-        {"1": full_subcategory(cat, ["a", "c"]), "2": full_subcategory(cat, ["b", "c"])},
-        name="L_filters",
-    )
+    return _two_part_cover(cat, ["a", "c"], ["b", "c"], "L_filters")
 
 
 def parallel_pair() -> FinCategory:
@@ -111,7 +97,7 @@ def chain_ideal_cover_3(cat: Optional[FinCategory] = None) -> Cover:
         {
             "1": full_subcategory(cat, ["0"]),
             "2": full_subcategory(cat, ["0", "1", "2"]),
-            "3": whole_subcategory(cat),
+            "3": full_subcategory(cat, cat.objects),
         },
         name="chain_ideals",
     )
@@ -260,6 +246,23 @@ def _random_blocks(rng: random.Random, items: Sequence[str], k: int) -> list[lis
     return blocks
 
 
+def _random_closure_cover(
+    rng: random.Random,
+    cat: FinCategory,
+    max_parts: int,
+    name: str,
+    close: Callable[[FinCategory, Iterable[str]], Subcategory],
+) -> Cover:
+    """Cover by the closures of the blocks of a random partition, repeats dropped."""
+    k = min(len(cat.objects), rng.randint(2, max(2, min(max_parts, len(cat.objects)))))
+    parts: dict[str, Subcategory] = {}
+    for block in _random_blocks(rng, cat.objects, k):
+        sub = close(cat, block)
+        if sub not in parts.values():
+            parts[str(len(parts) + 1)] = sub
+    return Cover(cat, sorted(parts), parts, name=name)
+
+
 def random_ideal_cover(
     rng: random.Random, cat: FinCategory, max_parts: int = 4, name: str = "U"
 ) -> Cover:
@@ -268,28 +271,14 @@ def random_ideal_cover(
     Full down-closed parts cover every morphism automatically (each
     arrow lies in the part that down-closes its codomain).
     """
-    k = min(len(cat.objects), rng.randint(2, max(2, min(max_parts, len(cat.objects)))))
-    blocks = _random_blocks(rng, cat.objects, k)
-    parts: dict[str, Subcategory] = {}
-    for i, block in enumerate(blocks):
-        sub = ideal_closure(cat, block)
-        if sub not in parts.values():
-            parts[str(len(parts) + 1)] = sub
-    return Cover(cat, sorted(parts), parts, name=name)
+    return _random_closure_cover(rng, cat, max_parts, name, ideal_closure)
 
 
 def random_filter_cover(
     rng: random.Random, cat: FinCategory, max_parts: int = 4, name: str = "F"
 ) -> Cover:
     """Cover by filters: up-closures of the blocks of a random partition."""
-    k = min(len(cat.objects), rng.randint(2, max(2, min(max_parts, len(cat.objects)))))
-    blocks = _random_blocks(rng, cat.objects, k)
-    parts: dict[str, Subcategory] = {}
-    for i, block in enumerate(blocks):
-        sub = filter_closure(cat, block)
-        if sub not in parts.values():
-            parts[str(len(parts) + 1)] = sub
-    return Cover(cat, sorted(parts), parts, name=name)
+    return _random_closure_cover(rng, cat, max_parts, name, filter_closure)
 
 
 def no_weighting_category() -> FinCategory:
@@ -359,39 +348,14 @@ def ideal_cover_fixtures() -> list[tuple[str, Cover]]:
     """Named covers whose parts are all ideals."""
     cex = counterexample_category()
     fork = fork_category()
+    d3 = delta_category(3)
     return [
         ("v_ideals", poset_v_ideal_cover()),
         ("chain_ideals", chain_ideal_cover_3()),
-        (
-            "cex_ideals",
-            Cover(
-                cex,
-                ["1", "2"],
-                {"1": full_subcategory(cex, ["x", "y"]), "2": whole_subcategory(cex)},
-                name="C_ideals",
-            ),
-        ),
-        (
-            "fork_ideals",
-            Cover(
-                fork,
-                ["1", "2"],
-                {"1": full_subcategory(fork, ["x", "y"]), "2": whole_subcategory(fork)},
-                name="fork_ideals",
-            ),
-        ),
-        ("delta3_ideals", _delta3_ideal_cover()),
+        ("cex_ideals", _two_part_cover(cex, ["x", "y"], cex.objects, "C_ideals")),
+        ("fork_ideals", _two_part_cover(fork, ["x", "y"], fork.objects, "fork_ideals")),
+        ("delta3_ideals", _two_part_cover(d3, ["0", "1"], d3.objects, "delta_ideals")),
     ]
-
-
-def _delta3_ideal_cover() -> Cover:
-    d3 = delta_category(3)
-    return Cover(
-        d3,
-        ["1", "2"],
-        {"1": full_subcategory(d3, ["0", "1"]), "2": whole_subcategory(d3)},
-        name="delta_ideals",
-    )
 
 
 def filter_cover_fixtures() -> list[tuple[str, Cover]]:
@@ -400,24 +364,8 @@ def filter_cover_fixtures() -> list[tuple[str, Cover]]:
     fork = fork_category()
     return [
         ("lambda_filters", poset_lambda_filter_cover()),
-        (
-            "cex_filters",
-            Cover(
-                cex,
-                ["1", "2"],
-                {"1": full_subcategory(cex, ["y", "z"]), "2": whole_subcategory(cex)},
-                name="C_filters",
-            ),
-        ),
-        (
-            "fork_filters",
-            Cover(
-                fork,
-                ["1", "2"],
-                {"1": full_subcategory(fork, ["y", "z"]), "2": whole_subcategory(fork)},
-                name="fork_filters",
-            ),
-        ),
+        ("cex_filters", _two_part_cover(cex, ["y", "z"], cex.objects, "C_filters")),
+        ("fork_filters", _two_part_cover(fork, ["y", "z"], fork.objects, "fork_filters")),
     ]
 
 

@@ -10,19 +10,15 @@ from catnerve.covers import (
     Cover,
     Subcategory,
     classify_subcategory,
-    complement,
     filter_closure,
     full_subcategory,
     ideal_closure,
     intersect,
     is_cover,
     opposite_subcategory,
-    to_two_point_poset,
-    two_point_poset,
     union_closure,
-    whole_subcategory,
 )
-from catnerve.fincat import FinCategory, validate_category, validate_functor
+from catnerve.fincat import FinCategory, FunctorMap, validate_category, validate_functor
 from catnerve import fixtures as fx
 
 
@@ -64,7 +60,7 @@ def test_counterexample_parts_classification():
     d2 = full_subcategory(c, ["y", "z"])
     assert classify_subcategory(d1) == (True, False)   # ideal, not filter
     assert classify_subcategory(d2) == (False, True)   # filter, not ideal
-    assert classify_subcategory(whole_subcategory(c)) == (True, True)
+    assert classify_subcategory(full_subcategory(c, c.objects)) == (True, True)
     assert classify_subcategory(Subcategory(c, (), ())) == (True, True)
     # non-full subcategories are classified as neither
     sub = Subcategory(c, ["x", "y"], ["id_x", "id_y"])
@@ -80,7 +76,7 @@ def test_intersect_and_union_closure():
     u = union_closure([d1, d2])
     # closure must add k = h o f even though neither part contains it
     assert u.has_morphism("k")
-    assert u == whole_subcategory(c)
+    assert u == full_subcategory(c, c.objects)
     with pytest.raises(ValueError):
         intersect([d1, full_subcategory(fx.poset_v(), ["a"])])
     with pytest.raises(ValueError):
@@ -213,34 +209,67 @@ def test_union_of_parts_without_closure_is_detected():
     assert "k" not in raw
 
 
+def _complement(sub):
+    """Full subcategory on the objects outside ``sub``."""
+    return full_subcategory(sub.parent, [x for x in sub.parent.objects if x not in sub.objects])
+
+
+def _to_two_point_poset(ideal):
+    """The functor onto ``0 < 1`` sending the ideal to 0 and the rest to 1."""
+    parent = ideal.parent
+    target = FinCategory.build("P2", ["0", "1"], [("le", "0", "1")])
+    object_map = {x: "0" if ideal.has_object(x) else "1" for x in parent.objects}
+    morphism_map = {
+        m.name: "le" if object_map[m.dom] != object_map[m.cod] else target.identity_name(object_map[m.dom])
+        for m in parent.morphisms
+    }
+    return FunctorMap(parent, target, object_map, morphism_map)
+
+
 def test_complement_swaps_ideal_and_filter():
     c = fx.counterexample_category()
     d1 = full_subcategory(c, ["x", "y"])
-    comp = complement(d1)
+    comp = _complement(d1)
     assert comp.objects == ("z",)
     assert classify_subcategory(comp) == (False, True)  # h, k enter from outside
     v = fx.poset_v()
     down = full_subcategory(v, ["c", "a"])
-    up = complement(down)
+    up = _complement(down)
     assert classify_subcategory(down).is_ideal
     assert classify_subcategory(up).is_filter
-    with pytest.raises(ValueError):
-        complement(Subcategory(c, ["x", "y"], ["id_x", "id_y"]))
+
+
+@given(st.integers(0, 10**9), st.integers(1, 7))
+def test_complement_of_an_ideal_is_a_filter(seed, n):
+    r = random.Random(seed)
+    cat = fx.random_dag_category(r, n, max_morphisms=60) if r.random() < 0.5 else fx.random_poset(r, n)
+    ideal = ideal_closure(cat, r.sample(cat.objects, r.randint(0, n)))
+    assert classify_subcategory(ideal).is_ideal
+    assert classify_subcategory(_complement(ideal)).is_filter
+    assert _complement(_complement(ideal)) == ideal
 
 
 def test_two_point_poset_classifier():
-    p2 = two_point_poset()
-    assert validate_category(p2).ok
     c = fx.counterexample_category()
     d1 = full_subcategory(c, ["x", "y"])
-    F = to_two_point_poset(d1)
-    rep = validate_functor(F)
-    assert rep.ok
+    F = _to_two_point_poset(d1)
+    assert validate_category(F.target).ok
+    assert validate_functor(F).ok
     assert F.object_map == {"x": "0", "y": "0", "z": "1"}
     assert F.morphism_map["h"] == "le" and F.morphism_map["k"] == "le"
-    d2 = full_subcategory(c, ["y", "z"])
-    with pytest.raises(ValueError):
-        to_two_point_poset(d2)  # a filter, not an ideal
+    assert full_subcategory(c, [x for x, a in F.object_map.items() if a == "0"]) == d1
+    # a filter that is not an ideal has an arrow 1 -> 0, which 0 < 1 lacks
+    assert not validate_functor(_to_two_point_poset(full_subcategory(c, ["y", "z"]))).ok
+
+
+@given(st.integers(0, 10**9), st.integers(1, 7))
+def test_every_ideal_classifies_by_a_functor_onto_two_points(seed, n):
+    r = random.Random(seed)
+    cat = fx.random_dag_category(r, n, max_morphisms=60) if r.random() < 0.5 else fx.random_poset(r, n)
+    ideal = ideal_closure(cat, r.sample(cat.objects, r.randint(0, n)))
+    F = _to_two_point_poset(ideal)
+    assert validate_functor(F).ok
+    assert full_subcategory(cat, [x for x, a in F.object_map.items() if a == "0"]) == ideal
 
 
 @pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())
@@ -288,7 +317,7 @@ def test_closures_are_classified_correctly():
     assert down.objects == ("a", "c")
     assert classify_subcategory(down).is_ideal
     up = filter_closure(v, ["c"])
-    assert up == whole_subcategory(v)
+    assert up == full_subcategory(v, v.objects)
     with pytest.raises(ValueError):
         ideal_closure(v, ["ghost"])
 

@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catnerve.covers import Cover, full_subcategory, intersect, whole_subcategory
+from catnerve.covers import (
+    Cover,
+    Subcategory,
+    classify_subcategory,
+    filter_closure,
+    full_subcategory,
+    ideal_closure,
+    intersect,
+    union_closure,
+)
 from catnerve.euler import (
     EulerResult,
     _eliminate,
@@ -19,7 +28,6 @@ from catnerve.euler import (
     rank,
     solve_right,
     solve_weighting,
-    two_set_formula,
     zeta_matrix,
 )
 from catnerve.fincat import FinCategory, Mor, validate_category
@@ -153,33 +161,99 @@ def test_inclusion_exclusion_matches_on_ideal_fixtures():
         assert inclusion_exclusion_sum(cov) == euler_characteristic(cov.parent).chi, name
 
 
+def _ref_terms(cover):
+    """``inclusion_exclusion_terms`` with every piece solved, empty ones included."""
+    return [
+        (labels, euler_characteristic(cover.piece(labels)).chi)
+        for n in range(1, len(cover.index_order) + 1)
+        for labels in cover.tuples(n, "reduced")
+    ]
+
+
+def _disjoint_cover(r, cat, k):
+    """A ``k``-part cover by full subcategories on random, often disjoint, object sets."""
+    parts = {str(i): full_subcategory(cat, [x for x in cat.objects if r.random() < 0.4])
+             for i in range(1, k + 1)}
+    return Cover(cat, sorted(parts), parts)
+
+
+@pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())
+def test_terms_match_every_piece_solved_on_fixtures(name, cov):
+    assert inclusion_exclusion_terms(cov) == _ref_terms(cov)
+
+
+def test_empty_pieces_get_chi_zero_without_a_solve():
+    c = fx.counterexample_category()
+    cov = Cover(c, ["1", "2", "3"], {"1": full_subcategory(c, ["x"]), "2": full_subcategory(c, ["z"]),
+                                     "3": full_subcategory(c, ["x", "y"])})
+    terms = inclusion_exclusion_terms(cov)
+    assert terms == _ref_terms(cov)
+    assert [labels for labels, _ in terms if not cov.piece(labels).objects] == [
+        ("1", "2"), ("2", "3"), ("1", "2", "3")]
+    assert all(type(chi) is Fraction for _, chi in terms)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**9), st.integers(2, 6), st.integers(1, 4), st.booleans())
+def test_terms_match_every_piece_solved_on_disjoint_parts(seed, n, k, dag):
+    r = random.Random(seed)
+    cat = fx.random_dag_category(r, n, max_morphisms=60) if dag else fx.random_poset(r, n)
+    cov = _disjoint_cover(r, cat, k)
+    terms = inclusion_exclusion_terms(cov)
+    assert terms == _ref_terms(cov)
+    assert [type(chi) for _, chi in terms] == [Fraction] * len(terms)
+
+
+def _two_set_sides(a, b):
+    """Both sides of the two-set formula chi(A u B) = chi(A) + chi(B) - chi(A n B):
+    chi of ``union_closure([a, b])`` and the inclusion-exclusion sum of its
+    two-part cover by ``a`` and ``b``."""
+    u = union_closure([a, b])
+    parts = {label: Subcategory(u, p.objects, [m.name for m in p.morphisms])
+             for label, p in (("A", a), ("B", b))}
+    return euler_characteristic(u).chi, inclusion_exclusion_sum(Cover(u, ["A", "B"], parts))
+
+
 def test_two_set_formula_on_ideals():
     chain = fx.chain_poset(4)
     a = full_subcategory(chain, ["0", "1"])
     b = full_subcategory(chain, ["0", "1", "2"])
-    rep = two_set_formula(a, b)
-    assert rep.ok
-    assert any("chi(AuB) = 1" in line for line in rep.details)
+    assert classify_subcategory(a).is_ideal and classify_subcategory(b).is_ideal
+    assert _two_set_sides(a, b) == (F(1), F(1))
+    # the formula term by term: chi(A) + chi(B) - chi(A n B) = 1 + 1 - 1
+    assert [chi for _, chi in inclusion_exclusion_terms(Cover(chain, ["1", "2"], {"1": a, "2": b}))] == [
+        F(1), F(1), F(1)]
 
 
 def test_two_set_formula_flags_mixed_hypotheses():
     c = fx.counterexample_category()
     d1 = full_subcategory(c, ["x", "y"])
     d2 = full_subcategory(c, ["y", "z"])
-    rep = two_set_formula(d1, d2)
-    assert any(v.rule == "hypothesis" for v in rep.violations)
-    # and indeed the formula numerically fails here:
-    lhs = euler_characteristic(c).chi
-    rhs = (euler_characteristic(d1.as_category()).chi
-           + euler_characteristic(d2.as_category()).chi
-           - euler_characteristic(intersect([d1, d2]).as_category()).chi)
-    assert lhs != rhs
+    cls1, cls2 = classify_subcategory(d1), classify_subcategory(d2)
+    assert not (cls1.is_ideal and cls2.is_ideal) and not (cls1.is_filter and cls2.is_filter)
+    lhs, rhs = _two_set_sides(d1, d2)
+    assert (lhs, rhs) == (F(1), F(0))
+    assert rhs == (euler_characteristic(d1.as_category()).chi
+                   + euler_characteristic(d2.as_category()).chi
+                   - euler_characteristic(intersect([d1, d2]).as_category()).chi)
 
 
 def test_two_set_formula_different_parents():
     a = full_subcategory(fx.poset_v(), ["a"])
     b = full_subcategory(fx.counterexample_category(), ["x"])
-    assert not two_set_formula(a, b).ok
+    with pytest.raises(ValueError, match="mismatched parents"):
+        _two_set_sides(a, b)
+
+
+@given(st.integers(0, 10**9), st.integers(2, 7), st.booleans())
+def test_two_set_formula_on_random_ideals_or_filters(seed, n, ideals):
+    r = random.Random(seed)
+    cat = fx.random_poset(r, n)
+    close = ideal_closure if ideals else filter_closure
+    a = close(cat, r.sample(cat.objects, r.randint(1, n)))
+    b = close(cat, r.sample(cat.objects, r.randint(1, n)))
+    lhs, rhs = _two_set_sides(a, b)
+    assert lhs == rhs == mobius_oracle(union_closure([a, b]))
 
 
 def test_mobius_oracle_frozen():
@@ -223,7 +297,7 @@ def test_category_without_euler_characteristic():
 
 def test_inclusion_exclusion_sum_is_none_when_a_term_has_no_chi():
     cat = fx.no_weighting_category()
-    cover = Cover(cat, ["1"], {"1": whole_subcategory(cat)}, name="trivial")
+    cover = Cover(cat, ["1"], {"1": full_subcategory(cat, cat.objects)}, name="trivial")
     assert inclusion_exclusion_sum(cover) is None
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from catnerve.cli import main
 from catnerve.fincat import FinCategory, Mor, validate_category
-from catnerve.covers import Subcategory, full_subcategory, whole_subcategory, Cover
+from catnerve.covers import Subcategory, full_subcategory, Cover
 from catnerve.io import (
     InvalidStructureError,
     ParseError,
@@ -145,7 +145,7 @@ def test_cover_errors():
 def test_non_full_part_round_trips_in_long_form():
     cat = parse_category(CEX)
     sub = Subcategory(cat, ["x", "y"], ["id_x", "id_y", "f"])
-    cov = Cover(cat, ["a", "b"], {"a": sub, "b": whole_subcategory(cat)}, name="W")
+    cov = Cover(cat, ["a", "b"], {"a": sub, "b": full_subcategory(cat, cat.objects)}, name="W")
     text = emit_cover(cov)
     assert "part a : objects x y ; morphisms f" in text
     again = parse_cover(text, cat)
