@@ -7,13 +7,17 @@ usage error).  Output is deterministic for a given input: object,
 morphism and label orders are the declaration orders.
 
 Arguments are parsed by the standard library's ``argparse``, one
-subparser per command, with abbreviated options refused.  ``main`` is
-the one entry point: the ``catnerve`` console script, ``python -m
-catnerve.cli``, the tests (through ``click.testing.CliRunner``) and the
-benchmark harness all call it.  Only parsing (``io``, and through it
-``covers`` and ``fincat``) is imported up front; each command imports
-the other modules it needs in its own body, so a process loads only
-what its command uses.
+subparser per command, with abbreviated options refused.  ``main`` runs
+one command and returns, or raises ``SystemExit``, like any function:
+the tests (through ``click.testing.CliRunner``) and the benchmark
+harness call it in-process.  ``script`` is the process entry of the
+``catnerve`` console script and of ``python -m catnerve.cli``: it runs
+``main``, flushes stdout and stderr and ends the process with
+``os._exit``, so the interpreter does not finalize its modules and free
+the heap (a parsed category included) after the output is written.
+Only parsing (``io``, and through it ``covers`` and ``fincat``) is
+imported up front; each command imports the other modules it needs in
+its own body, so a process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 from .covers import VARIANTS, Cover, classify_subcategory, is_cover
 from .fincat import FinCategory, validate_category
@@ -36,7 +39,8 @@ def _fail(message: str, code: int) -> None:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as e:
         _fail(str(e), 2)
     except UnicodeDecodeError as e:
@@ -326,5 +330,32 @@ main.name = "catnerve"
 main.main = main
 
 
+def script() -> None:
+    """Run ``main`` as a process and end the process without interpreter teardown.
+
+    The exit status is the one CPython gives an uncaught ``SystemExit``:
+    0 for ``None``, an int as it is, and 1 for anything else, which is
+    printed to stderr.  A reader that closed stdout or stderr before the
+    final flush makes it 1, without a traceback.  Any other exception
+    propagates, and the process ends the usual way.
+    """
+    try:
+        main()
+        code = 0
+    except SystemExit as e:
+        code = e.code
+    try:
+        if code is None:
+            code = 0
+        elif not isinstance(code, int):
+            print(code, file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    script()

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import re
@@ -21,6 +22,7 @@ from catnerve.io import (
     parse_cover,
 )
 from catnerve import fixtures as fx
+from test_cli_golden import invocations
 from test_euler import _times_z3
 
 CEX = """\
@@ -490,14 +492,18 @@ def test_cli_smallest_bounds_are_accepted(files):
 
 
 def _cli_env() -> dict[str, str]:
-    """The environment in which ``python -m catnerve.cli`` runs this checkout's code."""
+    """The environment in which ``python -m catnerve.cli`` runs this checkout's code, with
+    stdout block-buffered into a pipe as in a shell (``PYTHONUNBUFFERED`` dropped)."""
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src") + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src") + (os.pathsep + path if path else ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
-def _cli_subprocess(*args: str) -> subprocess.CompletedProcess:
+def _cli_subprocess(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+    """``python -m catnerve.cli args`` from the checkout's root; stdout and stderr as bytes unless ``text``."""
     return subprocess.run([sys.executable, "-m", "catnerve.cli", *args], cwd=FIXTURES.parent, env=_cli_env(),
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=text, timeout=60)
 
 
 @pytest.mark.parametrize("argv,option", BAD_BOUNDS)
@@ -548,6 +554,94 @@ def test_cli_closed_stdout_is_exit_1_without_traceback(tmp_path):
         p.wait(timeout=60)
     assert p.returncode == 1
     assert "Traceback" not in err
+
+
+# -- the process entry: same bytes and exit codes as main in-process -------------
+
+PROCESS_PARITY = [
+    *invocations(),  # every command on every fixture and cover
+    ["--help"],
+    ["euler", "fixtures/cex.fincat", "--bogus"],
+    ["validate", "fixtures/missing.fincat"],
+    ["cover-check", "fixtures/cex.fincat", "fixtures/cex.cover", "--require-ideal"],
+]
+
+
+@pytest.mark.parametrize("argv", PROCESS_PARITY, ids=" ".join)
+def test_process_matches_main_in_process(argv, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    monkeypatch.setenv("COLUMNS", "80")  # the --help width, in-process and in the child
+    res = run(*argv)
+    p = _cli_subprocess(*argv, text=False)
+    assert (p.returncode, p.stdout, p.stderr.decode()) == (res.exit_code, res.stdout_bytes, res.stderr)
+
+
+def test_process_writes_an_emit_larger_than_a_pipe_buffer(tmp_path):
+    cat = fx.random_poset(random.Random(3), 20)
+    cat_file, cover_file = tmp_path / "p.fincat", tmp_path / "p.cover"
+    cat_file.write_text(emit_category(cat))
+    cover_file.write_text(emit_cover(fx.random_ideal_cover(random.Random(3), cat)))
+    argv = ["gr", str(cat_file), str(cover_file), "--emit", "-"]
+    p = _cli_subprocess(*argv, text=False)
+    res = run(*argv)
+    assert res.exit_code == p.returncode == 0
+    assert len(res.stdout_bytes) >= 100_000
+    assert p.stdout == res.stdout_bytes
+
+
+@pytest.mark.parametrize("raised,code,err", [(None, 0, ""), (3, 3, ""), ("msg", 1, "msg\n")])
+def test_script_exit_status_is_cpythons(monkeypatch, capsys, raised, code, err):
+    from catnerve import cli
+
+    def command():
+        print("out")
+        raise SystemExit(raised)
+
+    exits = []
+    monkeypatch.setattr(cli, "main", command)
+    monkeypatch.setattr(os, "_exit", exits.append)
+    cli.script()
+    assert exits == [code]
+    assert capsys.readouterr() == ("out\n", err)
+
+
+def test_script_closed_stdout_at_flush_is_1_and_other_errors_propagate(monkeypatch):
+    from catnerve import cli
+
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError
+
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(cli, "main", lambda: None)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    cli.script()
+    assert exits == [1]
+
+    def broken():
+        raise ValueError("not an exit")
+
+    monkeypatch.setattr(cli, "main", broken)
+    with pytest.raises(ValueError, match="not an exit"):
+        cli.script()
+    assert exits == [1]
+
+
+def test_console_script_is_the_process_entry():
+    assert '\ncatnerve = "catnerve.cli:script"\n' in (FIXTURES.parent / "pyproject.toml").read_text()
+
+
+@pytest.mark.parametrize("argv,code", [(["validate", "fixtures/cex.fincat"], 0),
+                                       (["incl-excl", "fixtures/cex.fincat", "fixtures/cex.cover"], 1)])
+def test_process_ends_without_interpreter_teardown(argv, code):
+    # an atexit handler runs during teardown, so it prints only if teardown happens
+    run_cli = ("import atexit, runpy; atexit.register(print, 'teardown'); "
+               "runpy.run_module('catnerve.cli', run_name='__main__')")
+    p = subprocess.run([sys.executable, "-c", run_cli, *argv], cwd=FIXTURES.parent, env=_cli_env(),
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == code, p.stderr
+    assert p.stdout and "teardown" not in p.stdout
 
 
 def test_cli_euler(files):

@@ -3,8 +3,9 @@
 The package is lazy: ``import catnerve`` loads none of its modules and
 each exported name is resolved from its module on first access.  Each
 CLI command loads parsing (``io``, ``covers``, ``fincat``) plus only the
-modules it uses; the subprocess checks below read the loaded modules
-from ``-X importtime``, in a fresh interpreter per command.
+modules it uses, and none loads ``pathlib``; the subprocess checks below
+read the loaded modules from ``-X importtime``, in a fresh interpreter
+per command.
 """
 
 import argparse
@@ -137,10 +138,11 @@ COMMANDS = [
 
 @pytest.mark.parametrize("argv,extra", COMMANDS, ids=[c[0][0] for c in COMMANDS])
 def test_command_loads_only_its_modules(argv, extra):
-    p = _python("-X", "importtime", "-m", "catnerve.cli", *argv)
+    # -S: without site, whose .pth files may load pathlib and more before catnerve runs
+    p = _python("-S", "-X", "importtime", "-m", "catnerve.cli", *argv)
     assert p.returncode in (0, 1), p.stderr[-2000:]
     assert _loaded(p.stderr) == PARSING | {f"catnerve.{m}" for m in extra}
-    assert not {"dataclasses", "click"} & _imported(p.stderr)
+    assert not {"dataclasses", "click", "pathlib"} & _imported(p.stderr)
 
 
 def test_record_modules_do_not_import_dataclasses():
