@@ -14,7 +14,8 @@ harness call it in-process.  ``script`` is the process entry of the
 ``catnerve`` console script and of ``python -m catnerve.cli``: it runs
 ``main``, flushes stdout and stderr and ends the process with
 ``os._exit``, so the interpreter does not finalize its modules and free
-the heap (a parsed category included) after the output is written.
+the heap (a parsed category included) after the output is written.  It
+alone handles a closed stdout; ``main`` leaves that to its caller.
 Only parsing (``io``, and through it ``covers`` and ``fincat``) is
 imported up front; each command imports the other modules it needs in
 its own body, so a process loads only what its command uses.
@@ -65,10 +66,7 @@ def _load_cover(cat_path: str, cover_path: str) -> tuple[FinCategory, Cover]:
 
 def validate(cat_file: str) -> None:
     """Check the category axioms; report every violation."""
-    try:
-        cat = parse_category(_read(cat_file), validate=False)
-    except ParseError as e:
-        _fail(f"{cat_file}: {e}", 2)
+    cat = _load_category(cat_file, validate=False)
     report = validate_category(cat)
     if report.ok:
         print(f"ok: category {cat.name} ({len(cat.objects)} objects, {len(cat.morphisms)} morphisms)")
@@ -316,12 +314,6 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None, standa
     opts = vars(_parser(prog_name or "catnerve").parse_args(args))
     try:
         opts.pop("run")(**opts)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout (``catnerve gr --emit - | head``): exit 1 without a
-        # traceback, and point stdout at devnull so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
     except KeyboardInterrupt:
         _fail("interrupted", 1)
 
@@ -335,23 +327,28 @@ def script() -> None:
 
     The exit status is the one CPython gives an uncaught ``SystemExit``:
     0 for ``None``, an int as it is, and 1 for anything else, which is
-    printed to stderr.  A reader that closed stdout or stderr before the
-    final flush makes it 1, without a traceback.  Any other exception
-    propagates, and the process ends the usual way.
+    printed to stderr.  A stdout closed by its reader before the final
+    flush (``catnerve gr --emit - | head``), or never opened, makes it 1,
+    without a traceback.  Any other exception propagates, and the process
+    ends the usual way.
     """
     try:
         main()
         code = 0
     except SystemExit as e:
         code = e.code
+    except BrokenPipeError:
+        code = 1
     try:
         if code is None:
             code = 0
         elif not isinstance(code, int):
             print(code, file=sys.stderr)
             code = 1
-        sys.stdout.flush()
-        sys.stderr.flush()
+        if sys.stdout is None:  # started with fd 1 closed
+            code = 1
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
     except BrokenPipeError:
         code = 1
     os._exit(code)

@@ -111,18 +111,23 @@ def full_subcategory(cat: FinCategory, objects: Iterable[str]) -> Subcategory:
     return Subcategory(cat, objset, mors)
 
 
+def _common_parent(parts: Sequence[Subcategory], caller: str) -> FinCategory:
+    """The parent shared by every part; ValueError on no parts or two parents."""
+    if not parts:
+        raise ValueError(f"{caller} needs at least one part")
+    parent = parts[0].parent
+    if any(p.parent != parent for p in parts[1:]):
+        raise ValueError("parts have mismatched parents")
+    return parent
+
+
 def intersect(parts: Sequence[Subcategory]) -> Subcategory:
     """Objectwise and morphismwise intersection of subcategories.
 
     The result needs no check: identities, endpoints and composites of
     members common to every part are common to every part.
     """
-    if not parts:
-        raise ValueError("intersect needs at least one part")
-    parent = parts[0].parent
-    for p in parts[1:]:
-        if p.parent != parent:
-            raise ValueError("parts have mismatched parents")
+    parent = _common_parent(parts, "intersect")
     objs = set(parts[0].objects)
     mors = set(parts[0]._mors)
     for p in parts[1:]:
@@ -134,12 +139,7 @@ def intersect(parts: Sequence[Subcategory]) -> Subcategory:
 def _union_ids(parts: Sequence[Subcategory]) -> tuple[set[str], set[str]]:
     """Object and morphism ids of the parts, the morphisms closed under
     the parent's composition (finite chains of composable part morphisms)."""
-    if not parts:
-        raise ValueError("union_closure needs at least one part")
-    parent = parts[0].parent
-    for p in parts[1:]:
-        if p.parent != parent:
-            raise ValueError("parts have mismatched parents")
+    parent = _common_parent(parts, "union_closure")
     objs = set()
     mors = set()
     for p in parts:
@@ -189,10 +189,10 @@ class Cover:
         self.parent = parent
         self.name = str(name)
         self.index_order = tuple(str(a) for a in index_order)
-        if len(set(self.index_order)) != len(self.index_order):
-            raise ValueError("duplicate labels in index order")
-        if set(parts) != set(self.index_order):
-            raise ValueError("index order must list every part label exactly once")
+        if sorted(self.index_order) != sorted(parts):
+            raise ValueError(
+                f"order {list(self.index_order)} does not list the part labels {sorted(parts)} exactly once each"
+            )
         for label, part in parts.items():
             if part.parent != parent:
                 raise ValueError(f"part {label!r} has a different parent")

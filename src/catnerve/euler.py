@@ -23,7 +23,7 @@ from math import gcd, lcm, prod
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .covers import Cover
-from .fincat import FinCategory
+from .fincat import FinCategory, topological_order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -149,27 +149,14 @@ def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[tuple[list[int
     with a nonzero diagonal, and the product of that diagonal.
 
     That needs every diagonal entry to be nonzero and the off-diagonal
-    support to have no directed cycle; Kahn's algorithm finds the order
-    or leaves some object out, and then there is none.
+    support to have no directed cycle; ``topological_order`` finds the
+    order, or None when there is none.
     """
-    n = len(z)
-    indegree = [0] * n
-    d = 1
-    for i, row in enumerate(z):
-        if not row.get(i):
-            return None
-        d *= row[i]
-        for j in row:
-            if j != i:
-                indegree[j] += 1
-    order = [i for i in range(n) if not indegree[i]]
-    for i in order:  # grows while it is walked: the queue of Kahn's algorithm
-        for j in z[i]:
-            if j != i:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    order.append(j)
-    return (order, d) if len(order) == n else None
+    d = prod(row.get(i, 0) for i, row in enumerate(z))
+    if not d:
+        return None
+    order = topological_order({i: [j for j in row if j != i] for i, row in enumerate(z)})
+    return None if order is None else (order, d)
 
 
 def _weightings(cat: FinCategory) -> tuple[Optional[tuple[list[int], int]], Optional[tuple[list[int], int]]]:

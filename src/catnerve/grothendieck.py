@@ -12,7 +12,7 @@ composite inside the target intersection.
 from __future__ import annotations
 
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
 from .covers import Cover, Subcategory, classify_subcategory, is_cover
@@ -73,9 +73,10 @@ class GrMorphism(_GrMorphismFields):
 class ReducedGrothendieck:
     """Total category of the reduced nerve, with its comparison functors.
 
-    ``piece[t]`` is the cover's intersection for the tuple ``t``
-    (``Cover.piece``), a ``Subcategory`` of the parent and a category in
-    its own right.
+    ``tuples`` are the strictly increasing label tuples with a nonempty
+    intersection (the cover's nerve), in level-lex order, and
+    ``piece[t]`` is that intersection (``Cover.piece``), a
+    ``Subcategory`` of the parent and a category in its own right.
     """
 
     def __init__(self, cover: Cover):
@@ -84,9 +85,12 @@ class ReducedGrothendieck:
         self.cover = cover
         parent = cover.parent
 
-        self.tuples: list[tuple[str, ...]] = [
-            t for n in range(len(cover.index_order)) for t in cover.tuples(n + 1, "reduced")
-        ]
+        # an empty intersection adds nothing: walk the label sets some object lies in
+        shared = {self.indices_of(x) for x in parent.objects}
+        self.tuples: list[tuple[str, ...]] = sorted(
+            {t for s in shared for n in range(len(s)) for t in combinations(s, n + 1)},
+            key=lambda t: (len(t), [cover.position(a) for a in t]),
+        )
         self.piece: dict[tuple[str, ...], Subcategory] = {t: cover.piece(t) for t in self.tuples}
 
         # one GrObject per (tuple, object); its name is computed once
@@ -247,20 +251,9 @@ def ordered_gr_hom(cover: Cover, X: GrObject, Y: GrObject) -> list[tuple[tuple[i
         cover.check_tuple(d.labels, "ordered")
         if not piece.has_object(d.obj):
             raise ValueError(f"object {d.obj!r} is not in the intersection of {d.labels}")
-    n = len(X.labels) - 1
-
-    phis: list[tuple[int, ...]] = []
-
-    def extend(j: int, prefix: tuple[int, ...]) -> None:
-        if j == len(Y.labels):
-            phis.append(prefix)
-            return
-        lo = prefix[-1] if prefix else 0
-        for p in range(lo, n + 1):
-            if X.labels[p] == Y.labels[j]:
-                extend(j + 1, prefix + (p,))
-
-    extend(0, ())
+    # phi[j] is a source position holding the j-th target label; product walks them lexicographically
+    at = [[p for p, a in enumerate(X.labels) if a == b] for b in Y.labels]
+    phis = [phi for phi in product(*at) if all(a <= b for a, b in zip(phi, phi[1:]))]
     if not phis or not yp.has_object(X.obj):
         return []
     fs = yp.hom_set(X.obj, Y.obj)

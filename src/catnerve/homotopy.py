@@ -177,11 +177,8 @@ def betti_numbers(cat: FinCategory, max_dim: Optional[int] = None) -> HomologyRe
         leads: set[int] = set()
         ranks[k] = rank(bnds[k], skip=cleared, leads=leads)
         cleared = leads
-    betti = []
-    for k in range(report_upto + 1):
-        below = ranks[k - 1] if k >= 1 and k - 1 < len(ranks) else 0
-        above = ranks[k] if k < len(ranks) else 0
-        betti.append(len(levels[k]) - below - above)
+    r = [0, *ranks, 0]  # r[k] is the rank of d: C_k -> C_{k-1}, zero past either end
+    betti = [len(levels[k]) - r[k] - r[k + 1] for k in range(report_upto + 1)]
     truncated = max_dim is not None and len(levels) > max_dim + 1
     dims = tuple(len(levels[k]) for k in range(report_upto + 1))
     euler_top = Fraction(sum(dims[0::2]) - sum(dims[1::2]))

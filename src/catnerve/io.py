@@ -203,15 +203,9 @@ def parse_cover(text: str, cat: FinCategory) -> Cover:
         raise ParseError(1, "empty input; expected 'cover <name> of <category>'")
     if not parts:
         raise InvalidStructureError("cover has no parts")
-    if order is None:
-        order = sorted(parts)
-    elif sorted(order) != sorted(parts):
-        raise InvalidStructureError(
-            f"order {order} does not list the part labels {sorted(parts)} exactly once each"
-        )
     try:
-        return Cover(cat, order, parts, name=name)
-    except ValueError as e:
+        return Cover(cat, sorted(parts) if order is None else order, parts, name=name)
+    except ValueError as e:  # Cover checks that the order lists each part label once
         raise InvalidStructureError(str(e)) from None
 
 

@@ -34,6 +34,7 @@ from catnerve.fincat import FinCategory, Mor, validate_category
 from catnerve.grothendieck import ReducedGrothendieck
 from catnerve.homotopy import chain_complex
 from catnerve import euler, fixtures as fx
+from test_fincat import _times_cyclic
 
 F = Fraction
 
@@ -375,15 +376,6 @@ def test_substitution_equals_elimination():
         assert all(type(x) is F for x in (res.chi, *res.weighting, *res.coweighting)), cat
 
 
-def _times_z3(cat, m=3):
-    """``cat x Z/m``, by default ``m = 3``."""
-    mors = [Mor(f"{f.name}+{a}", f.dom, f.cod) for f in cat.morphisms for a in range(m)]
-    comp = {(f"{g}+{b}", f"{f}+{a}"): f"{gf}+{(a + b) % m}"
-            for (g, f), gf in cat.comp.items() for a in range(m) for b in range(m)}
-    ids = {x: f"{i}+0" for x, i in cat.identity.items()}
-    return FinCategory(f"{cat.name}xZ{m}", cat.objects, mors, ids, comp)
-
-
 def _ei_category(rng, n):
     """An EI category over a random poset P whose endomorphism groups vary.
 
@@ -412,8 +404,8 @@ def _ei_category(rng, n):
 
 def test_triangular_substitution_with_a_non_unit_diagonal():
     rng = random.Random(11)
-    cats = [_times_z3(fx.chain_poset(2)), _times_z3(fx.fork_category())]
-    cats += [_times_z3(fx.random_poset(rng, rng.randint(2, 6))) for _ in range(6)]
+    cats = [_times_cyclic(fx.chain_poset(2), 3), _times_cyclic(fx.fork_category(), 3)]
+    cats += [_times_cyclic(fx.random_poset(rng, rng.randint(2, 6)), 3) for _ in range(6)]
     cats += [_ei_category(rng, rng.randint(2, 7)) for _ in range(12)]
     cats += [c.opposite() for c in cats]
     diagonals = []
@@ -430,7 +422,7 @@ def test_triangular_substitution_with_a_non_unit_diagonal():
     assert {1, 2, 3} <= set().union(*diagonals)
     assert any(1 in diag and len(diag) > 1 for diag in diagonals)  # unit and non-unit in one category
 
-    product = _times_z3(fx.chain_poset(2))
+    product = _times_cyclic(fx.chain_poset(2), 3)
     assert zeta_matrix(product) == [{0: 3, 1: 3}, {1: 3}]
     assert euler_characteristic(product) == EulerResult(
         F(1, 3), (F(0), F(1, 3)), (F(1, 3), F(0)))
@@ -567,7 +559,7 @@ def _boundary_inputs(rng, kind):
         return fx.random_poset(rng, rng.randint(2, 8)), None
     if kind == "dag":
         return fx.random_dag_category(rng, rng.randint(2, 5), max_morphisms=40), None
-    return _times_z3(fx.random_poset(rng, rng.randint(2, 4)), rng.randint(2, 3)), 3
+    return _times_cyclic(fx.random_poset(rng, rng.randint(2, 4)), rng.randint(2, 3)), 3
 
 
 @settings(max_examples=60)
@@ -613,7 +605,7 @@ def test_solve_right_reference_cases():
 def _weighting_inputs(rng):
     cats = [fx.no_weighting_category(), FinCategory.build("E", [], []),
             FinCategory.build("C3", ["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z"), ("h", "z", "x")])]
-    cats.append(_times_z3(fx.random_poset(rng, rng.randint(1, 6)), rng.randint(1, 4)))
+    cats.append(_times_cyclic(fx.random_poset(rng, rng.randint(1, 6)), rng.randint(1, 4)))
     cats.append(fx.random_dag_category(rng, rng.randint(1, 6), max_morphisms=60))
     return cats + [c.opposite() for c in cats]
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catnerve.euler import rank
-from catnerve.fincat import FinCategory, Mor, validate_category
+from catnerve.fincat import FinCategory, validate_category
 from catnerve.grothendieck import ReducedGrothendieck
 from catnerve.homotopy import (
     betti_numbers,
@@ -21,6 +21,7 @@ from catnerve.homotopy import (
     nerve_chains,
 )
 from catnerve import fixtures as fx, homotopy
+from test_fincat import _times_cyclic
 
 F = Fraction
 
@@ -280,17 +281,6 @@ def _decode(cat: FinCategory, dim: int, chain: tuple[int, ...]) -> _RefChain:
     if dim == 0:
         return _RefChain(0, cat.objects[chain[0]], ())
     return _RefChain(dim, cat.morphisms[chain[0]].dom, _names(cat, chain))
-
-
-def _times_cyclic(cat: FinCategory, m: int) -> FinCategory:
-    """``cat x Z/m``: arrow ``(r, a)`` is named ``r`` for a = 0, else ``r+a``."""
-    def name(r: str, a: int) -> str:
-        return f"{r}+{a}" if a else r
-
-    mors = [Mor(name(r.name, a), r.dom, r.cod) for r in cat.morphisms for a in range(m)]
-    comp = {(name(g, b), name(f, a)): name(gf, (a + b) % m)
-            for (g, f), gf in cat.comp.items() for a in range(m) for b in range(m)}
-    return FinCategory(f"{cat.name}xZ{m}", cat.objects, mors, cat.identity, comp)
 
 
 def _check_against_reference(cat: FinCategory, max_dim: Optional[int] = None) -> None:

@@ -2,6 +2,7 @@ import io
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from catnerve.io import (
 )
 from catnerve import fixtures as fx
 from test_cli_golden import invocations
-from test_euler import _times_z3
+from test_fincat import _times_cyclic
 
 CEX = """\
 category C
@@ -340,7 +341,7 @@ def _distinct_ids_and_names(cat):
 def test_parse_category_keeps_one_string_per_name():
     texts = [*CATEGORY_TEXTS]
     for seed, n in ((0, 5), (1, 8), (2, 12)):
-        texts.append(emit_category(_times_z3(fx.random_poset(random.Random(seed), n))))
+        texts.append(emit_category(_times_cyclic(fx.random_poset(random.Random(seed), n), 3)))
     for text in texts:
         ids, names = _distinct_ids_and_names(parse_category(text, validate=False))
         assert ids == names, text[:40]
@@ -554,6 +555,14 @@ def test_cli_closed_stdout_is_exit_1_without_traceback(tmp_path):
         p.wait(timeout=60)
     assert p.returncode == 1
     assert "Traceback" not in err
+
+
+def test_cli_without_stdout_is_exit_1_without_traceback():
+    # started with fd 1 closed, the process has no sys.stdout at all
+    command = f"{shlex.quote(sys.executable)} -m catnerve.cli validate fixtures/cex.fincat >&-"
+    p = subprocess.run(["sh", "-c", command], cwd=FIXTURES.parent, env=_cli_env(),
+                       capture_output=True, text=True, timeout=60)
+    assert (p.returncode, p.stdout, p.stderr) == (1, "", "")
 
 
 # -- the process entry: same bytes and exit codes as main in-process -------------
