@@ -32,8 +32,8 @@ def level(
     """All ``(labels, piece)`` pairs at level n, tuples in lexicographic
     label order.
 
-    Empty intersections are materialized, not skipped.  Each piece is
-    the cover's own, shared with every tuple on the same label set.
+    Every tuple is listed.  Its piece is the cover's own, shared with every
+    tuple on the same label set; an empty one is the cover's one empty piece.
     """
     if n < 0:
         raise ValueError("level must be >= 0")

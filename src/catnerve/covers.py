@@ -168,12 +168,12 @@ def union_closure(parts: Sequence[Subcategory]) -> Subcategory:
 class Cover:
     """An indexed family of subcategories with a total order on labels.
 
-    Covers are not mutated after construction.  The intersection of the
-    parts named by a label set is built once, on first use, and shared
-    by every later ``piece`` call (also from ``with_order`` copies):
-    inclusion-exclusion, ``gr`` and the nerve levels all read the same
-    pieces.  The label tuples naming the pieces of each nerve (the
-    ``VARIANTS``) are enumerated by ``tuples`` and checked by
+    Covers are not mutated after construction.  The cover owns its nerve
+    (``nonempty_tuples``): the intersection of the parts named by a label
+    set, when nonempty, is built once, on first use, and shared by every
+    later ``piece`` call (also from ``with_order`` copies); every empty
+    one is the cover's one empty piece.  The label tuples of each nerve
+    (the ``VARIANTS``) are enumerated by ``tuples`` and checked by
     ``check_tuple``.  A ``ReducedGrothendieck`` records itself on its
     cover, so the adjunction checks reuse it while it is alive; a
     ``with_order`` copy starts without one, as its tuple order differs.
@@ -198,7 +198,8 @@ class Cover:
                 raise ValueError(f"part {label!r} has a different parent")
         self.parts = {a: parts[a] for a in self.index_order}
         self._pos = {a: i for i, a in enumerate(self.index_order)}
-        self._pieces: dict[frozenset[str], Subcategory] = {}
+        self._pieces: dict[frozenset[str], Subcategory] = {}  # the nonempty intersections
+        self._empty = Subcategory._unchecked(parent, set(), set())  # every empty one
         self._gr = None  # ReducedGrothendieck(self) puts a weak reference to itself here
 
     def position(self, label: str) -> int:
@@ -206,6 +207,18 @@ class Cover:
             return self._pos[label]
         except KeyError:
             raise ValueError(f"unknown cover label: {label!r}") from None
+
+    def indices_of(self, x: str) -> tuple[str, ...]:
+        """All labels whose part contains x, in index order."""
+        if not self.parent.has_object(x):
+            raise ValueError(f"unknown object id: {x!r}")
+        return tuple(a for a in self.index_order if self.parts[a].has_object(x))
+
+    def nonempty_tuples(self) -> list[tuple[str, ...]]:
+        """The cover's nerve: the nonempty subsets of each object's ``indices_of``, in level-lex order."""
+        shared = {self.indices_of(x) for x in self.parent.objects}
+        return sorted({t for s in shared for n in range(len(s)) for t in combinations(s, n + 1)},
+                      key=lambda t: (len(t), [self._pos[a] for a in t]))
 
     def tuples(self, length: int, variant: str) -> Iterator[tuple[str, ...]]:
         """The label tuples of one length under a variant, in lexicographic
@@ -239,6 +252,7 @@ class Cover:
 
         Keyed by the label set, so order and repeats do not matter;
         raises ValueError on an unknown label or on no labels at all.
+        An empty intersection is the cover's one shared empty piece, never cached.
         """
         key = frozenset(labels)
         sub = self._pieces.get(key)
@@ -248,13 +262,15 @@ class Cover:
             unknown = key.difference(self.parts)
             if unknown:
                 raise ValueError(f"unknown cover label: {min(unknown, key=str)!r}")
-            sub = intersect([self.parts[a] for a in self.index_order if a in key])
-            self._pieces[key] = sub
+            parts = [self.parts[a] for a in self.index_order if a in key]
+            if not frozenset.intersection(*[p._objset for p in parts]):
+                return self._empty
+            sub = self._pieces[key] = intersect(parts)
         return sub
 
     def with_order(self, index_order: Sequence[str]) -> "Cover":
         other = Cover(self.parent, index_order, self.parts, name=self.name)
-        other._pieces = self._pieces  # same parts, same label sets
+        other._pieces, other._empty = self._pieces, self._empty  # same parts, same label sets
         return other
 
     def __repr__(self) -> str:

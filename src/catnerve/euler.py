@@ -155,7 +155,7 @@ def _triangular_order(z: Sequence[Mapping[int, int]]) -> Optional[tuple[list[int
     d = prod(row.get(i, 0) for i, row in enumerate(z))
     if not d:
         return None
-    order = topological_order({i: [j for j in row if j != i] for i, row in enumerate(z)})
+    order = topological_order([[j for j in row if j != i] for i, row in enumerate(z)])
     return None if order is None else (order, d)
 
 
@@ -215,8 +215,8 @@ def inclusion_exclusion_terms(
 
     Empty intersections are kept with chi 0, found without a solve, so
     the alternating sum below matches the literal formula term by term.
-    The pieces are the cover's own (``Cover.piece``), each a category in
-    its own right, so no category is copied here.
+    The pieces are the cover's own (``Cover.piece``), so no category is
+    copied here, and every empty one is the cover's one empty piece.
     """
     terms = []
     for n in range(1, len(cover.index_order) + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Hashable, Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 class Mor(NamedTuple):
@@ -51,25 +51,25 @@ def _as_mor(m) -> Mor:
     return m if isinstance(m, Mor) else Mor(*m)
 
 
-def topological_order(succ: Mapping[Hashable, Iterable[Hashable]]) -> Optional[list]:
-    """The nodes of ``succ`` (node -> the nodes its arrows point to, every
-    one a node too) in an order in which every arrow points forward, or
-    None when the arrows form a directed cycle (a loop ``x -> x`` is one).
+def topological_order(succ: Sequence[Iterable[int]]) -> Optional[list[int]]:
+    """The nodes ``0 .. n-1`` (``succ[i]`` lists the nodes the arrows out of
+    ``i`` point to) in an order in which every arrow points forward, or
+    None when the arrows form a directed cycle (a loop ``i -> i`` is one).
 
     Kahn's algorithm: the nodes without incoming arrows first, each next
     node once every arrow into it is passed.
     """
-    indegree = dict.fromkeys(succ, 0)
-    for ys in succ.values():
+    indegree = [0] * len(succ)
+    for ys in succ:
         for y in ys:
             indegree[y] += 1
-    order = [x for x, k in indegree.items() if not k]
+    order = [i for i, k in enumerate(indegree) if not k]
     for x in order:  # grows while it is walked: the queue
         for y in succ[x]:
             indegree[y] -= 1
             if not indegree[y]:
                 order.append(y)
-    return order if len(order) == len(indegree) else None
+    return order if len(order) == len(succ) else None
 
 
 class FinCategory:
@@ -201,10 +201,11 @@ class FinCategory:
         category that was never validated.
         """
         ids = self._idnames
-        succ: dict[str, list[str]] = {x: [] for x in self.objects}
+        index = {x: i for i, x in enumerate(self.objects)}
+        succ: list[list[int]] = [[] for _ in index]
         for m in self.morphisms:
-            if m.name not in ids and m.dom in succ and m.cod in succ:
-                succ[m.dom].append(m.cod)
+            if m.name not in ids and m.dom in index and m.cod in index:
+                succ[index[m.dom]].append(index[m.cod])
         return topological_order(succ) is not None
 
     def is_poset(self) -> bool:

@@ -142,18 +142,18 @@ def path_category(
     endpoints.
     """
     verts = list(vertices)
-    edge_list = [(e, s, t) for (e, s, t) in edges]
     out: dict[str, list[tuple[str, str]]] = {v: [] for v in verts}
-    for e, s, t in edge_list:
+    for e, s, t in edges:
         if s not in out or t not in out:
             raise ValueError(f"edge {e!r} has an unknown endpoint")
         out[s].append((e, t))
-    order = topological_order({v: [t for _, t in out[v]] for v in out})
+    index = {v: i for i, v in enumerate(out)}
+    order = topological_order([[index[t] for _, t in ts] for ts in out.values()])
     if order is None:
         raise ValueError("edge set has a directed cycle; the free category would be infinite")
 
     paths_from: dict[str, list[tuple[tuple[str, ...], str]]] = {v: [] for v in verts}
-    for v in reversed(order):
+    for v in map(list(out).__getitem__, reversed(order)):
         acc = []
         for e, t in out[v]:
             acc.append(((e,), t))

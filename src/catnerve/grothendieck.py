@@ -73,9 +73,8 @@ class GrMorphism(_GrMorphismFields):
 class ReducedGrothendieck:
     """Total category of the reduced nerve, with its comparison functors.
 
-    ``tuples`` are the strictly increasing label tuples with a nonempty
-    intersection (the cover's nerve), in level-lex order, and
-    ``piece[t]`` is that intersection (``Cover.piece``), a
+    ``tuples`` are the cover's ``nonempty_tuples`` (its nerve), in level-lex
+    order, and ``piece[t]`` is that intersection (``Cover.piece``), a
     ``Subcategory`` of the parent and a category in its own right.
     """
 
@@ -85,12 +84,7 @@ class ReducedGrothendieck:
         self.cover = cover
         parent = cover.parent
 
-        # an empty intersection adds nothing: walk the label sets some object lies in
-        shared = {self.indices_of(x) for x in parent.objects}
-        self.tuples: list[tuple[str, ...]] = sorted(
-            {t for s in shared for n in range(len(s)) for t in combinations(s, n + 1)},
-            key=lambda t: (len(t), [cover.position(a) for a in t]),
-        )
+        self.tuples: list[tuple[str, ...]] = cover.nonempty_tuples()
         self.piece: dict[tuple[str, ...], Subcategory] = {t: cover.piece(t) for t in self.tuples}
 
         # one GrObject per (tuple, object); its name is computed once
@@ -164,12 +158,6 @@ class ReducedGrothendieck:
         except KeyError:
             raise ValueError(f"unknown gr morphism id: {name!r}") from None
 
-    def indices_of(self, x: str) -> tuple[str, ...]:
-        """All labels whose part contains x, in index order."""
-        if not self.cover.parent.has_object(x):
-            raise ValueError(f"unknown object id: {x!r}")
-        return tuple(a for a in self.cover.index_order if self.cover.parts[a].has_object(x))
-
     def rho(self) -> FunctorMap:
         """Project away the index data: objects and components survive."""
         parent = self.cover.parent
@@ -188,7 +176,7 @@ class ReducedGrothendieck:
         if bad:
             raise ValueError(f"parts are not ideals: {bad}")
         parent = self.cover.parent
-        object_map = {x: GrObject(self.indices_of(x), x).name for x in parent.objects}
+        object_map = {x: GrObject(self.cover.indices_of(x), x).name for x in parent.objects}
         morphism_map = {}
         for m in parent.morphisms:
             key = (object_map[m.dom], object_map[m.cod], m.name)
@@ -223,7 +211,7 @@ def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationRep
     v: list[Violation] = []
     pairs = 0
     for x in parent.objects:
-        pix = GrObject(rg.indices_of(x), x).name
+        pix = GrObject(cover.indices_of(x), x).name
         for Y in rg.objects:
             pairs += 1
             expected = parent_hom.get((x, Y.obj), ())

@@ -63,15 +63,15 @@ def test_require_cover():
 
 def test_component_and_indices():
     g = ReducedGrothendieck(fx.counterexample_cover())
-    assert g.indices_of("y") == ("1", "2")
-    assert g.indices_of("x") == ("1",)
+    assert g.cover.indices_of("y") == ("1", "2")
+    assert g.cover.indices_of("x") == ("1",)
     some = g.morphisms[0]
     assert g.component_of(some.name) == some.component
     assert g.component_of("id_y@1,2") == "id_y"
     with pytest.raises(ValueError):
         g.component_of("nonsense")
     with pytest.raises(ValueError):
-        g.indices_of("nonsense")
+        g.cover.indices_of("nonsense")
 
 
 def test_rho_is_a_functor():

@@ -25,7 +25,7 @@ from catnerve.grothendieck import (
     adjunction_check_pi,
     ordered_gr_hom,
 )
-from catnerve.io import emit_category
+from catnerve.io import emit_category, emit_cover
 
 
 # -- references ------------------------------------------------------------
@@ -480,3 +480,133 @@ def test_intersection_of_subcategories_is_valid():
                 ref = _ref_union_closure(parts)
                 assert got == ref
                 assert (got.objects, got.morphisms) == (ref.objects, ref.morphisms)
+
+
+# -- the cover's nerve -----------------------------------------------------
+# ``Cover`` decides which intersections are empty; the references below
+# walk every label set and intersect its parts with ``intersect``.
+
+def _random_full_cover(rng, cat, max_parts=4):
+    """Full subcategories on random object sets, each arrow's endpoints
+    put together in some part, so the parts cover the category."""
+    k = rng.randint(2, max_parts)
+    objs = [{x for x in cat.objects if rng.random() < 0.4} for _ in range(k)]
+    for x in cat.objects:
+        objs[rng.randrange(k)].add(x)
+    for x, y in cat._hom:
+        if not any({x, y} <= o for o in objs):
+            objs[rng.randrange(k)] |= {x, y}
+    parts = {str(i + 1): covers.full_subcategory(cat, o) for i, o in enumerate(objs)}
+    return Cover(cat, sorted(parts), parts, name="F")
+
+
+def _nerve_covers():
+    rng = random.Random(20261021)
+    out = list(fx.all_cover_fixtures())
+    for i in range(30):
+        n = rng.randint(2, 6)
+        cat = fx.random_dag_category(rng, n) if i % 2 else fx.random_poset(rng, n, p=0.4)
+        make = (fx.random_ideal_cover, fx.random_filter_cover, _random_full_cover)[i % 3]
+        out.append((f"{make.__name__}-{i}", make(rng, cat, max_parts=4)))
+    out += [(f"fence-{k}", _fence_cover(k)) for k in range(1, 9)]
+    return out
+
+
+NERVE_COVERS = _nerve_covers()
+
+
+def _walked(cover, labels):
+    return covers.intersect([cover.parts[a] for a in labels])
+
+
+def _ref_nonempty_tuples(cover):
+    """The derivation ``ReducedGrothendieck`` made before the cover owned it."""
+    shared = {tuple(a for a in cover.index_order if cover.parts[a].has_object(x)) for x in cover.parent.objects}
+    return sorted({t for s in shared for n in range(len(s)) for t in combinations(s, n + 1)},
+                  key=lambda t: (len(t), [cover.position(a) for a in t]))
+
+
+def _ref_adjunction_check_R(cover, max_len):
+    """``adjunction_check_R`` with a descriptor list from every ordered tuple's intersection."""
+    rg = ReducedGrothendieck(cover)
+    descriptors = [GrObject(labels, x) for length in range(1, max_len + 1)
+                   for labels in combinations_with_replacement(cover.index_order, length)
+                   for x in _walked(cover, labels).objects]
+    v = []
+    for Z in rg.objects:
+        for Y in descriptors:
+            lhs = len(rg.category.hom_set(Z.name, GrObject(tuple(dict.fromkeys(Y.labels)), Y.obj).name))
+            rhs = len(ordered_gr_hom(cover, Z, Y))
+            if lhs != rhs:
+                v.append(Violation("adjunction-R", (Z.name, Y.name),
+                                   f"reduced hom has {lhs} morphisms, ordered hom has {rhs}"))
+    return ValidationReport(tuple(v), details=(f"checked {len(rg.objects) * len(descriptors)} pairs",))
+
+
+def test_nerve_covers_are_varied():
+    names = [name for name, _ in NERVE_COVERS]
+    assert sum(n.startswith("_random_full_cover") for n in names) == 10
+    assert all(is_cover(cov) for _, cov in NERVE_COVERS)
+    full = [cov for name, cov in NERVE_COVERS if name.startswith("_random_full_cover")]
+    assert any(not classify_subcategory(p).is_ideal and not classify_subcategory(p).is_filter
+               for cov in full for p in cov.parts.values())
+    assert sum(any(not _walked(cov, t).objects for t in combinations(cov.index_order, 2))
+               for _, cov in NERVE_COVERS) >= 15
+
+
+@pytest.mark.parametrize("name,cov", NERVE_COVERS)
+def test_cover_owns_the_nerve(name, cov):
+    for x in cov.parent.objects:
+        assert cov.indices_of(x) == tuple(a for a in cov.index_order if cov.parts[a].has_object(x))
+    with pytest.raises(ValueError, match="unknown object id"):
+        cov.indices_of("nonsense")
+    walk = [t for n in range(len(cov.index_order)) for t in combinations(cov.index_order, n + 1)
+            if _walked(cov, t).objects]
+    assert cov.nonempty_tuples() == _ref_nonempty_tuples(cov) == walk
+    assert ReducedGrothendieck(cov).tuples == walk
+
+
+@pytest.mark.parametrize("name,cov", NERVE_COVERS)
+def test_nerve_walk_matches_the_full_walk(name, cov):
+    order = cov.index_order
+    terms = inclusion_exclusion_terms(cov)
+    every = [t for n in range(len(order)) for t in combinations(order, n + 1)]
+    assert terms == [(t, euler_characteristic(_walked(cov, t)).chi) for t in every]
+    references = {"ordinary": lambda n: product(order, repeat=n),
+                  "ordered": lambda n: combinations_with_replacement(order, n),
+                  "reduced": lambda n: combinations(order, n)}
+    for variant, reference in references.items():
+        for n in range(3):
+            got = cech.level(cov, n, variant)
+            tuples = list(reference(n + 1))
+            assert [t for t, _ in got] == tuples
+            for (t, piece), ref in zip(got, (_walked(cov, t) for t in tuples)):
+                assert piece.objects == ref.objects and piece == ref
+    assert len(cov._pieces) == len(cov.nonempty_tuples())
+    assert adjunction_check_R(cov, max_len=2) == _ref_adjunction_check_R(cov, 2)
+
+
+def test_many_part_fence_builds_only_its_nerve():
+    cov = _fence_cover(16)
+    assert inclusion_exclusion_sum(cov) == 1
+    pieces = cech.level(cov, 1, "reduced")
+    empty = [(t, p) for t, p in pieces if not p.objects]
+    assert (len(pieces), len(empty)) == (120, 105)
+    assert len(cov._pieces) == 31
+    assert all(p is empty[0][1] for _, p in empty)
+    assert all(p == _walked(cov, t) for t, p in empty)
+    assert cov.piece(("00", "05", "09")) is empty[0][1]
+    assert len(cov._pieces) == 31
+
+
+def test_many_part_fence_through_the_cli(tmp_path):
+    from test_io_cli import _cli_subprocess
+
+    cov = _fence_cover(16)
+    (tmp_path / "F.fincat").write_text(emit_category(cov.parent))
+    (tmp_path / "F.cover").write_text(emit_cover(cov))
+    p = _cli_subprocess("incl-excl", str(tmp_path / "F.fincat"), str(tmp_path / "F.cover"))
+    assert p.returncode == 0, p.stderr
+    lines = p.stdout.splitlines()
+    assert sum(line.startswith("term ") for line in lines) == 2 ** 16 - 1
+    assert lines[-3:] == ["sum = 1", "chi(F) = 1", "MATCH"]
