@@ -201,7 +201,7 @@ class FinCategory:
         category that was never validated.
         """
         ids = self._idnames
-        index = {x: i for i, x in enumerate(self.objects)}
+        index = {x: i for i, x in enumerate(dict.fromkeys(self.objects))}  # a table may repeat an object
         succ: list[list[int]] = [[] for _ in index]
         for m in self.morphisms:
             if m.name not in ids and m.dom in index and m.cod in index:

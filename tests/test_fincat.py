@@ -190,6 +190,13 @@ def test_is_acyclic_is_exact_on_unvalidated_tables(seed, n, k, ring):
     assert cat.is_acyclic() == _ref_is_acyclic(cat), arrows
 
 
+def test_is_acyclic_counts_a_repeated_object_once():
+    mors = [Mor("id_x", "x", "x"), Mor("id_y", "y", "y"), Mor("f", "x", "y")]
+    ids = {"x": "id_x", "y": "id_y"}
+    assert FinCategory("L", ["x", "y", "x"], mors, ids, {}).is_acyclic()
+    assert not FinCategory("O", ["x", "y", "x"], [*mors, Mor("g", "y", "x")], ids, {}).is_acyclic()
+
+
 def test_structural_equality_ignores_name():
     a = fx.counterexample_category()
     b = FinCategory("renamed", a.objects, a.morphisms, a.identity, a.comp)
