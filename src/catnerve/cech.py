@@ -5,40 +5,34 @@ intersection of the parts the tuple names (``Cover.piece``), a
 ``Subcategory`` and so a category itself.  Tuple discipline comes in
 the three variants of ``covers.VARIANTS``: ``ordinary`` (arbitrary
 tuples), ``ordered`` (weakly increasing in the cover's label order) and
-``reduced`` (strictly increasing); the cover enumerates and checks its
-tuples.  Structure maps are induced by order-preserving maps between
-finite ordinals and are always inclusions of intersections, functors
-between the pieces themselves.
+``reduced`` (strictly increasing); the cover enumerates, counts and
+checks its tuples.  Structure maps are induced by order-preserving maps
+between finite ordinals and are always inclusions of intersections,
+functors between the pieces themselves.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .covers import VARIANTS, Cover, Subcategory  # VARIANTS is also read as cech.VARIANTS
+from .covers import MAX_TUPLES, VARIANTS, Cover, Subcategory  # VARIANTS is also read as cech.VARIANTS
 from .fincat import FunctorMap, ValidationReport, Violation, identity_functor
 
-# ordinary levels grow like |labels|**(n+1); enumeration is capped
-DEFAULT_ORDINARY_CAP = 4
 
-
-def level(
-    cover: Cover,
-    n: int,
-    variant: str = "ordinary",
-    *,
-    ordinary_cap: int = DEFAULT_ORDINARY_CAP,
-) -> list[tuple[tuple[str, ...], Subcategory]]:
+def level(cover: Cover, n: int, variant: str = "ordinary") -> list[tuple[tuple[str, ...], Subcategory]]:
     """All ``(labels, piece)`` pairs at level n, tuples in lexicographic
-    label order.
+    label order; ValueError, before any is listed, above ``MAX_TUPLES``
+    tuples (``Cover.tuple_count``) or labels in a tuple.
 
-    Every tuple is listed.  Its piece is the cover's own, shared with every
-    tuple on the same label set; an empty one is the cover's one empty piece.
+    Each piece is the cover's own, shared with every tuple on the same
+    label set; an empty one is the cover's one empty piece.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    if variant == "ordinary" and n > ordinary_cap:
-        raise ValueError(f"ordinary level {n} exceeds the enumeration cap {ordinary_cap}")
+    count = cover.tuple_count(n + 1, variant)
+    if count is None or count > MAX_TUPLES or n >= MAX_TUPLES:
+        raise ValueError(f"{variant} level {n} has {'more than 2**64' if count is None else count} tuples"
+                         f" of {n + 1} labels, above the bound {MAX_TUPLES}")
     # the cover's own tuples need no check
     return [(t, cover.piece(t)) for t in cover.tuples(n + 1, variant)]
 

@@ -121,7 +121,7 @@ def cech(cat_file: str, cover_file: str, level_n: int, variant: str) -> None:
 
     _, cover = _load_cover(cat_file, cover_file)
     try:
-        pieces = level(cover, level_n, variant, ordinary_cap=max(level_n, 0))
+        pieces = level(cover, level_n, variant)
     except ValueError as e:
         _fail(str(e), 2)
     print(f"variant {variant}, level {level_n}: {len(pieces)} pieces")
@@ -161,7 +161,10 @@ def incl_excl(cat_file: str, cover_file: str) -> None:
     from .euler import alternating_sum, euler_characteristic, format_rational, inclusion_exclusion_terms
 
     cat, cover = _load_cover(cat_file, cover_file)
-    terms = inclusion_exclusion_terms(cover)
+    try:
+        terms = inclusion_exclusion_terms(cover)
+    except ValueError as e:
+        _fail(str(e), 2)
     for labels, chi in terms:
         shown = format_rational(chi) if chi is not None else "undefined"
         print(f"term ({','.join(labels)}): chi = {shown}")

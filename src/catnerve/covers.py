@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fincat import FinCategory
 
 # label tuple disciplines: any tuple, weakly increasing, strictly increasing
 VARIANTS = ("ordinary", "ordered", "reduced")
+MAX_TUPLES = 1 << 18  # the most label tuples a cech level, or inclusion-exclusion, lists
 
 
 class Classification(NamedTuple):
@@ -196,6 +198,8 @@ class Cover:
         for label, part in parts.items():
             if part.parent != parent:
                 raise ValueError(f"part {label!r} has a different parent")
+            if "," in label or "@" in label:  # they separate the labels in gr's object names
+                raise ValueError(f"cover label {label!r} contains ',' or '@'")
         self.parts = {a: parts[a] for a in self.index_order}
         self._pos = {a: i for i, a in enumerate(self.index_order)}
         self._pieces: dict[frozenset[str], Subcategory] = {}  # the nonempty intersections
@@ -236,6 +240,17 @@ class Cover:
             return combinations(labels, length)
         raise ValueError(f"unknown variant: {variant!r}")
 
+    def tuple_count(self, length: int, variant: str) -> int | None:
+        """How many tuples ``tuples(length, variant)`` lists, or None for more
+        than ``2**64``: no larger int is built, so any length is counted at once."""
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant: {variant!r}")
+        k = len(self.index_order)
+        m = k + length - 1 if variant == "ordered" and k else k  # comb(m, length) = comb(m, r) for the r below
+        r = min(length, m - length, 65)  # negative when length > m; k**65 and comb(m >= 132, 65) exceed 2**64
+        count = k ** min(length, 65) if variant == "ordinary" else comb(m, r) if r >= 0 else 0
+        return count if count <= 1 << 64 else None
+
     def check_tuple(self, labels: Sequence[str], variant: str) -> None:
         """Raise ValueError unless ``labels`` is a tuple of the variant."""
         if variant not in VARIANTS:
@@ -257,12 +272,12 @@ class Cover:
         key = frozenset(labels)
         sub = self._pieces.get(key)
         if sub is None:
-            if not key:
+            try:
+                parts = [self.parts[a] for a in key]
+            except KeyError:
+                raise ValueError(f"unknown cover label: {min(key.difference(self.parts), key=str)!r}") from None
+            if not parts:
                 raise ValueError("a piece needs at least one label")
-            unknown = key.difference(self.parts)
-            if unknown:
-                raise ValueError(f"unknown cover label: {min(unknown, key=str)!r}")
-            parts = [self.parts[a] for a in self.index_order if a in key]
             if not frozenset.intersection(*[p._objset for p in parts]):
                 return self._empty
             sub = self._pieces[key] = intersect(parts)

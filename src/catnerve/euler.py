@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .covers import Cover
+from .covers import MAX_TUPLES, Cover
 from .fincat import FinCategory, topological_order
 
 ZERO = Fraction(0)
@@ -216,10 +216,14 @@ def inclusion_exclusion_terms(
     Empty intersections are kept with chi 0, found without a solve, so
     the alternating sum below matches the literal formula term by term.
     The pieces are the cover's own (``Cover.piece``), so no category is
-    copied here, and every empty one is the cover's one empty piece.
+    copied here, and every empty one is the cover's one empty piece.  More
+    than ``MAX_TUPLES`` terms raise ValueError before any is listed.
     """
+    k = len(cover.index_order)
+    if (1 << k) - 1 > MAX_TUPLES:
+        raise ValueError(f"inclusion-exclusion over {k} parts has 2**{k} - 1 terms, above the bound {MAX_TUPLES}")
     terms = []
-    for n in range(1, len(cover.index_order) + 1):
+    for n in range(1, k + 1):
         for labels in cover.tuples(n, "reduced"):
             piece = cover.piece(labels)
             terms.append((labels, euler_characteristic(piece).chi if piece.objects else ZERO))

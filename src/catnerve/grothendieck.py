@@ -28,10 +28,10 @@ class _GrObjectFields(NamedTuple):
 class GrObject(_GrObjectFields):
     """A fiber object sitting over a strictly or weakly increasing label tuple.
 
-    ``GrObject(labels, obj)``; its ``name`` ``obj@a0,a1,...`` is
-    computed once, at construction.  Objects of ``gr`` sit over strictly
-    increasing tuples; the ordered nerve's objects, over weakly
-    increasing ones, are never materialized as a category.
+    ``GrObject(labels, obj)``; its ``name`` ``obj@a0,a1,...``, computed once,
+    splits at its last ``@`` (labels hold no ``,`` or ``@``).  Objects of
+    ``gr`` sit over strictly increasing tuples; the ordered nerve's objects,
+    over weakly increasing ones, are never materialized as a category.
     """
 
     __slots__ = ()

@@ -205,7 +205,7 @@ def parse_cover(text: str, cat: FinCategory) -> Cover:
         raise InvalidStructureError("cover has no parts")
     try:
         return Cover(cat, sorted(parts) if order is None else order, parts, name=name)
-    except ValueError as e:  # Cover checks that the order lists each part label once
+    except ValueError as e:  # Cover checks the labels and that the order lists each once
         raise InvalidStructureError(str(e)) from None
 
 

@@ -1,3 +1,6 @@
+import time
+from math import comb
+
 import pytest
 
 from catnerve import cech
@@ -8,7 +11,7 @@ from catnerve.cech import (
     induced_functor,
     level,
 )
-from catnerve.covers import Cover, full_subcategory
+from catnerve.covers import MAX_TUPLES, Cover, full_subcategory
 from catnerve.fincat import FinCategory, FunctorMap, validate_functor
 from catnerve import fixtures as fx
 
@@ -25,14 +28,39 @@ def test_level_counts_by_variant():
 
 
 def test_level_guards():
+    from test_pieces import _fence_cover
+
     cov = fx.counterexample_cover()
     with pytest.raises(ValueError):
         level(cov, -1)
     with pytest.raises(ValueError):
         level(cov, 0, "bogus")
-    with pytest.raises(ValueError, match="cap"):
-        level(cov, 5, "ordinary")
-    assert len(level(cov, 5, "ordinary", ordinary_cap=5)) == 2 ** 6
+    assert len(level(cov, 5, "ordinary")) == 2 ** 6
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"ordinary level 40 has 2199023255552 tuples of 41 labels, above the bound 262144"):
+        level(cov, 40)
+    with pytest.raises(ValueError, match=r"ordinary level 1000000000 has more than 2\*\*64 tuples"):
+        level(cov, 10 ** 9)
+    assert time.perf_counter() - start < 1
+    fence = _fence_cover(16)
+    assert len(level(fence, 6, "ordered")) == comb(22, 7) <= MAX_TUPLES
+    with pytest.raises(ValueError, match=f"ordered level 7 has {comb(23, 8)} tuples"):
+        level(fence, 7, "ordered")
+    assert comb(23, 8) > MAX_TUPLES
+
+
+def test_level_bounds_the_tuple_length():
+    # one label gives one tuple at every ordinary or ordered level, n + 1 labels long
+    cov = fx.counterexample_cover()
+    one = Cover(cov.parent, ["1"], {"1": full_subcategory(cov.parent, cov.parent.objects)})
+    for variant in ("ordinary", "ordered"):
+        (labels, piece), = level(one, MAX_TUPLES - 1, variant)
+        assert labels == ("1",) * MAX_TUPLES and piece == one.parts["1"]
+        with pytest.raises(ValueError, match=f"{variant} level {MAX_TUPLES} has 1 tuples of {MAX_TUPLES + 1} labels"):
+            level(one, MAX_TUPLES, variant)
+    assert level(one, 1, "reduced") == []
+    with pytest.raises(ValueError, match=f"reduced level {MAX_TUPLES} has 0 tuples"):
+        level(one, MAX_TUPLES, "reduced")
 
 
 def test_tuple_constraints():

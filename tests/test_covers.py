@@ -97,6 +97,9 @@ def test_cover_construction_and_is_cover():
         Cover(c, ["1", "2"], {"1": full_subcategory(c, ["x"])})
     with pytest.raises(ValueError):
         Cover(c, ["1"], {"1": full_subcategory(fx.poset_v(), ["a"])})
+    for bad in ("1,2", "b@c", ",", "@"):
+        with pytest.raises(ValueError, match=f"cover label '{bad}' contains ',' or '@'"):
+            Cover(c, ["1", bad], {"1": full_subcategory(c, ["x"]), bad: full_subcategory(c, ["y"])})
 
 
 def _ref_is_cover(cover: Cover) -> bool:
@@ -270,6 +273,40 @@ def test_every_ideal_classifies_by_a_functor_onto_two_points(seed, n):
     F = _to_two_point_poset(ideal)
     assert validate_functor(F).ok
     assert full_subcategory(cat, [x for x, a in F.object_map.items() if a == "0"]) == ideal
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_tuple_count_is_the_number_listed(k):
+    c = fx.counterexample_category()
+    cov = Cover(c, [str(i) for i in range(k)], {str(i): full_subcategory(c, ["x"]) for i in range(k)})
+    for variant in VARIANTS:
+        for m in range(6):
+            assert cov.tuple_count(m, variant) == len(list(cov.tuples(m, variant))), (variant, m)
+    with pytest.raises(ValueError, match="unknown variant: 'bogus'"):
+        cov.tuple_count(1, "bogus")
+
+
+@pytest.mark.parametrize("variant,k,length,count", [
+    ("ordinary", 2, 64, 2 ** 64),
+    ("ordinary", 2, 65, None),
+    ("ordinary", 2, 10 ** 9, None),
+    ("ordinary", 1, 10 ** 9, 1),
+    ("ordered", 1, 10 ** 9, 1),
+    ("ordered", 2, 10 ** 9, 10 ** 9 + 1),
+    ("ordered", 3, 10 ** 9, comb(10 ** 9 + 2, 2)),
+    ("ordered", 34, 34, comb(67, 34)),
+    ("ordered", 36, 35, None),
+    ("reduced", 66, 33, comb(66, 33)),
+    ("reduced", 70, 35, None),
+    ("reduced", 200, 199, 200),
+    ("reduced", 200, 10 ** 9, 0),
+])
+def test_tuple_count_is_none_above_2_to_the_64(variant, k, length, count):
+    # None iff the count exceeds 2**64; a level of any length is counted at once
+    c = fx.counterexample_category()
+    part = full_subcategory(c, ["x"])
+    cov = Cover(c, [str(i) for i in range(k)], {str(i): part for i in range(k)})
+    assert cov.tuple_count(length, variant) == count
 
 
 @pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())

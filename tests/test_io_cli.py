@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from catnerve.cli import main
 from catnerve.fincat import FinCategory, Mor, validate_category
-from catnerve.covers import Subcategory, full_subcategory, Cover
+from catnerve.covers import Subcategory, full_subcategory, Cover, is_cover
+from catnerve.grothendieck import ReducedGrothendieck
 from catnerve.io import (
     InvalidStructureError,
     ParseError,
@@ -181,7 +182,7 @@ COVER_TEXTS = [(p.read_text(), (FIXTURES / (p.stem.split("_")[0] + ".fincat")).r
                for p in sorted(FIXTURES.glob("*.cover"))]
 TOKENS = st.sampled_from([
     "category", "objects", "mor", "comp", "cover", "of", "order", "part", "morphisms",
-    ":", "->", "=", ";", "#", "\n", "C", "U", "x", "y", "z", "f", "g", "h", "id_x", "id_", "1", "2",
+    ":", "->", "=", ";", "#", "\n", "C", "U", "x", "y", "z", "f", "g", "h", "id_x", "id_", "1", "2", "1,2", "y@2",
 ]) | st.text(max_size=4)
 SOUP = st.lists(TOKENS, max_size=30).map(" ".join)
 
@@ -211,9 +212,11 @@ def test_parse_cover_raises_only_its_own_errors(pair, data):
     cover_text, cat_text = pair
     text = data.draw(SOUP | one_token_mutation([cover_text]))
     try:
-        parse_cover(text, parse_category(cat_text))
+        cover = parse_cover(text, parse_category(cat_text))
     except (ParseError, InvalidStructureError):
-        pass
+        return
+    if is_cover(cover):  # every label parse_cover lets through gives gr distinct names
+        ReducedGrothendieck(cover)
 
 
 # -- the parser against its line-by-line reference ------------------------
@@ -690,6 +693,48 @@ def test_cli_cech(files):
     res = run("cech", cat, cov, "--level", "1", "--variant", "reduced")
     assert res.exit_code == 0
     assert res.output == "variant reduced, level 1: 1 pieces\n(1,2): objects y\n"
+
+
+def test_cli_cech_refuses_a_level_above_the_bound():
+    for level, count in (("40", "2199023255552"), ("1000000000", "more than 2**64")):
+        p = _cli_subprocess("cech", "fixtures/cex.fincat", "fixtures/cex.cover", "--level", level)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == f"error: ordinary level {level} has {count} tuples of {int(level) + 1} labels, above the bound 262144\n"
+
+
+def test_cli_cech_lists_a_level_at_the_bound():
+    p = _cli_subprocess("cech", "fixtures/cex.fincat", "fixtures/cex.cover", "--level", "17")
+    assert p.returncode == 0, p.stderr
+    lines = p.stdout.splitlines()
+    assert lines[0] == "variant ordinary, level 17: 262144 pieces"
+    assert len(lines) == 262145
+    assert lines[1] == "(" + ",".join("1" * 18) + "): objects x y"
+
+
+LABEL_SEPARATORS = [
+    # gr's object y@1,2 sits over (1, 2) and over (1,2); the pieces' names collide
+    (CEX, "cover U of C\npart 1 : x y\npart 2 : y z\npart 1,2 : y\n", "1,2",
+     [["gr"], ["nerve-compare"], ["adjunction"], ["incl-excl"], ["cech", "--level", "1"]]),
+    # incl-excl would print the term (a,b) twice
+    (CEX, "cover U of C\npart a : x y\npart a,b : y\npart b : y z\n", "a,b", [["incl-excl"]]),
+    # a@b over c and a over b@c are both a@b@c in gr
+    ("category D\nobjects a@b a\n", "cover U of D\npart c : a@b\npart b@c : a\n", "b@c", [["gr"]]),
+]
+
+
+@pytest.mark.parametrize("cat_text,cover_text,label,commands", LABEL_SEPARATORS, ids=["1,2", "a,b", "b@c"])
+def test_cli_refuses_cover_labels_with_a_separator(tmp_path, cat_text, cover_text, label, commands):
+    cat, cov = tmp_path / "c.fincat", tmp_path / "c.cover"
+    cat.write_text(cat_text)
+    cov.write_text(cover_text)
+    with pytest.raises(InvalidStructureError, match=f"cover label '{label}' contains ',' or '@'"):
+        parse_cover(cover_text, parse_category(cat_text))
+    for command, *options in commands:
+        res = run(command, str(cat), str(cov), *options)
+        assert res.exit_code == 2, command
+        assert res.stdout == ""
+        assert f"cover label '{label}'" in res.stderr
 
 
 def test_cli_gr_and_emit(files, tmp_path):

@@ -444,6 +444,12 @@ def test_piece_rejects_unknown_and_empty_labels():
     cov = fx.counterexample_cover()
     with pytest.raises(ValueError, match="unknown cover label: '9'"):
         cov.piece(("1", "9"))
+    with pytest.raises(ValueError, match="unknown cover label: '10'"):
+        cov.piece(("zz", "2", "9", "10"))  # the least unknown label as a string
+    fence = _fence_cover(3)
+    assert fence.piece(("00", "02")) is fence.piece(("02", "00")) is fence._empty
+    with pytest.raises(ValueError, match="unknown cover label: '9'"):
+        fence.piece(("00", "02", "9"))  # an empty intersection is not cached, so it is checked again
     with pytest.raises(ValueError, match="at least one label"):
         cov.piece(())
     with pytest.raises(ValueError, match="at least one label"):
@@ -599,6 +605,14 @@ def test_many_part_fence_builds_only_its_nerve():
     assert len(cov._pieces) == 31
 
 
+def test_inclusion_exclusion_refuses_above_the_bound():
+    cov = _fence_cover(19)
+    with pytest.raises(ValueError, match=r"inclusion-exclusion over 19 parts has 2\*\*19 - 1 terms, above the bound 262144"):
+        inclusion_exclusion_terms(cov)
+    assert 2 ** 19 - 1 > covers.MAX_TUPLES >= 2 ** 18 - 1
+    assert cov._pieces == {}
+
+
 def test_many_part_fence_through_the_cli(tmp_path):
     from test_io_cli import _cli_subprocess
 
@@ -610,3 +624,9 @@ def test_many_part_fence_through_the_cli(tmp_path):
     lines = p.stdout.splitlines()
     assert sum(line.startswith("term ") for line in lines) == 2 ** 16 - 1
     assert lines[-3:] == ["sum = 1", "chi(F) = 1", "MATCH"]
+    cov = _fence_cover(19)
+    (tmp_path / "F.fincat").write_text(emit_category(cov.parent))
+    (tmp_path / "F.cover").write_text(emit_cover(cov))
+    p = _cli_subprocess("incl-excl", str(tmp_path / "F.fincat"), str(tmp_path / "F.cover"))
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr.endswith("has 2**19 - 1 terms, above the bound 262144\n")
