@@ -64,6 +64,15 @@ def _load_cover(cat_path: str, cover_path: str) -> tuple[FinCategory, Cover]:
     return cat, cover
 
 
+def _gr(cover: Cover):  # exit 1 when the cover's gr cannot be built
+    from .grothendieck import ReducedGrothendieck
+
+    try:
+        return ReducedGrothendieck(cover)
+    except ValueError as e:
+        _fail(str(e), 1)
+
+
 def validate(cat_file: str) -> None:
     """Check the category axioms; report every violation."""
     cat = _load_category(cat_file, validate=False)
@@ -133,13 +142,9 @@ def cech(cat_file: str, cover_file: str, level_n: int, variant: str) -> None:
 def gr(cat_file: str, cover_file: str, emit_path: str | None) -> None:
     """Build the total category of the reduced nerve."""
     from .euler import euler_characteristic, format_rational
-    from .grothendieck import ReducedGrothendieck
 
     _, cover = _load_cover(cat_file, cover_file)
-    try:
-        g = ReducedGrothendieck(cover)
-    except ValueError as e:
-        _fail(str(e), 1)
+    g = _gr(cover)
     if emit_path is not None:
         text = emit_category(g.category)
         if emit_path == "-":
@@ -205,14 +210,10 @@ def homology(cat_file: str, max_dim: int | None) -> None:
 
 def nerve_compare(cat_file: str, cover_file: str, max_dim: int | None) -> None:
     """Betti numbers of the category against its reduced-nerve total category."""
-    from .grothendieck import ReducedGrothendieck
     from .homotopy import compare_homology
 
     cat, cover = _load_cover(cat_file, cover_file)
-    try:
-        g = ReducedGrothendieck(cover)
-    except ValueError as e:
-        _fail(str(e), 1)
+    g = _gr(cover)
     try:
         cmpr = compare_homology(cat, g.category, max_dim)
     except ValueError:  # without --max-dim a non-acyclic category has an endless nerve
@@ -234,13 +235,14 @@ def adjunction(cat_file: str, cover_file: str, diagnostic: bool, ordered_side: b
     from .grothendieck import adjunction_check_pi, adjunction_check_R
 
     _, cover = _load_cover(cat_file, cover_file)
+    g = _gr(cover)  # the checks reuse it while it lives
     try:
         if ordered_side:
             report = adjunction_check_R(cover, max_len=max_len)
         else:
             report = adjunction_check_pi(cover, diagnostic=diagnostic)
-    except ValueError as e:
-        _fail(str(e), 1)
+    except ValueError as e:  # --ordered's check refuses only above its bound
+        _fail(str(e), 2 if ordered_side else 1)
     for line in report.details:
         print(line)
     if report.ok:

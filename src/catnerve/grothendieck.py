@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import weakref
 from itertools import combinations, product
+from math import comb
 from typing import NamedTuple, Sequence
 
-from .covers import Cover, Subcategory, classify_subcategory, is_cover
+from .covers import MAX_TUPLES, Cover, Subcategory, classify_subcategory, is_cover
 from .fincat import FinCategory, FunctorMap, ValidationReport, Violation
 
 
@@ -58,16 +59,33 @@ class GrMorphism(_GrMorphismFields):
     position in the source tuple carrying the j-th target label; the
     component runs between the underlying objects inside the target
     tuple's intersection.  The ``name`` is computed once, at
-    construction.
+    construction, by ``arrow_name``.
     """
 
     __slots__ = ()
 
     def __new__(cls, phi: tuple[int, ...], component: str, source: GrObject, target: GrObject) -> "GrMorphism":
-        return tuple.__new__(cls, (phi, component, source, target, f"{component}|{source.name}=>{target.name}"))
+        return tuple.__new__(cls, (phi, component, source, target, arrow_name(component, source, target)))
 
     def __getnewargs__(self) -> tuple:
         return self[:4]
+
+
+def arrow_name(f: str, X: GrObject, Y: GrObject, identity: bool = False) -> str:
+    """The one naming rule of gr's arrows ``X -> Y`` with component ``f``
+    (``identity``: f is an identity of the parent): ``id_<X>`` when X = Y
+    and f is an identity, else ``f|X=>Y``."""
+    return f"id_{X.name}" if identity and X == Y else f"{f}|{X.name}=>{Y.name}"
+
+
+def _require_ideals(cover: Cover, hint: str = "") -> None:
+    bad = [a for a in cover.index_order if not classify_subcategory(cover.parts[a]).is_ideal]
+    if bad:
+        raise ValueError(f"parts are not ideals: {bad}{hint}")
+
+
+def _pi_objects(cover: Cover) -> dict[str, GrObject]:
+    return {x: GrObject(cover.indices_of(x), x) for x in cover.parent.objects}
 
 
 class ReducedGrothendieck:
@@ -104,8 +122,6 @@ class ReducedGrothendieck:
         fiber_of = {t: {o.obj: o for o in fibers[t]} for t in self.tuples}
 
         self.morphisms: list[GrMorphism] = []  # non-identity only
-        self._by_key: dict[tuple[str, str, str], str] = {}  # (src, tgt, component) -> name
-        self._components: dict[str, str] = {}  # name -> component, identities included
         for s in self.tuples:
             # the sub-tuples t of s, in the order of self.tuples; phi is
             # forced, as both tuples are strictly increasing
@@ -114,55 +130,39 @@ class ReducedGrothendieck:
                 in_t = self.piece[t]._mors
                 tgt_of = fiber_of[t]
                 for src in fibers[s]:
-                    x = src.obj
-                    idx = parent.identity_name(x) if s == t else None
-                    for y, names in homs_from.get(x, ()):
-                        tgt = tgt_of.get(y)
-                        if tgt is None:
-                            continue
-                        for f in names:
-                            if f not in in_t:
-                                continue
-                            if f == idx:
-                                name = f"id_{src.name}"
-                            else:
-                                m = GrMorphism(phi, f, src, tgt)
-                                self.morphisms.append(m)
-                                name = m.name
-                            self._by_key[(src.name, tgt.name, f)] = name
-                            self._components[name] = f
+                    idx = parent.identity_name(src.obj) if s == t else None
+                    for y, names in homs_from.get(src.obj, ()):
+                        if y in tgt_of:
+                            self.morphisms += [GrMorphism(phi, f, src, tgt_of[y]) for f in names
+                                               if f in in_t and f != idx]
 
         by_src: dict[str, list[GrMorphism]] = {}
         for m in self.morphisms:
             by_src.setdefault(m.source.name, []).append(m)
+        is_identity = parent.is_identity
         comp: dict[tuple[str, str], str] = {}
         for m1 in self.morphisms:
             for m2 in by_src.get(m1.target.name, ()):
                 c = parent.compose(m2.component, m1.component)
-                comp[(m2.name, m1.name)] = self._by_key[(m1.source.name, m2.target.name, c)]
+                comp[(m2.name, m1.name)] = arrow_name(c, m1.source, m2.target, is_identity(c))
 
-        self.category = FinCategory.build(
-            f"gr_{cover.name}",
-            [o.name for o in self.objects],
-            [(m.name, m.source.name, m.target.name) for m in self.morphisms],
-            comp,
-        )
+        identity = {o.name: arrow_name(parent.identity_name(o.obj), o, o, True) for o in self.objects}
+        self.category = FinCategory._complete(
+            f"gr_{cover.name}", tuple(identity), identity,
+            [(m.name, m.source.name, m.target.name) for m in self.morphisms], comp)
+        if len(self.category._mors) != len(self.category.morphisms):  # arrow_name met a clash
+            clash = next(m.name for m in self.category.morphisms if self.category._mors[m.name] is not m)
+            raise ValueError(f"two arrows of gr are named {clash!r} (object ids with '|' and '=>' can do this)")
         # the adjunction checks reuse this instance; a weak reference forms
         # no cycle and keeps no dropped gr alive
         cover._gr = weakref.ref(self)
-
-    def component_of(self, name: str) -> str:
-        """Underlying parent morphism of a gr morphism (identities included)."""
-        try:
-            return self._components[name]
-        except KeyError:
-            raise ValueError(f"unknown gr morphism id: {name!r}") from None
 
     def rho(self) -> FunctorMap:
         """Project away the index data: objects and components survive."""
         parent = self.cover.parent
         object_map = {o.name: o.obj for o in self.objects}
-        morphism_map = {m.name: self._components[m.name] for m in self.category.morphisms}
+        morphism_map = {self.category.identity[o.name]: parent.identity_name(o.obj) for o in self.objects}
+        morphism_map.update((m.name, m.component) for m in self.morphisms)
         return FunctorMap(self.category, parent, object_map, morphism_map)
 
     def pi(self) -> FunctorMap:
@@ -171,16 +171,12 @@ class ReducedGrothendieck:
         Requires every part to be an ideal: only then does the tuple of
         a codomain embed into the tuple of a domain.
         """
-        bad = [a for a in self.cover.index_order
-               if not classify_subcategory(self.cover.parts[a]).is_ideal]
-        if bad:
-            raise ValueError(f"parts are not ideals: {bad}")
+        _require_ideals(self.cover)
         parent = self.cover.parent
-        object_map = {x: GrObject(self.cover.indices_of(x), x).name for x in parent.objects}
-        morphism_map = {}
-        for m in parent.morphisms:
-            key = (object_map[m.dom], object_map[m.cod], m.name)
-            morphism_map[m.name] = self._by_key[key]
+        pi = _pi_objects(self.cover)
+        object_map = {x: o.name for x, o in pi.items()}
+        morphism_map = {m.name: arrow_name(m.name, pi[m.dom], pi[m.cod], parent.is_identity(m.name))
+                        for m in parent.morphisms}
         return FunctorMap(parent, self.category, object_map, morphism_map)
 
 
@@ -200,26 +196,22 @@ def adjunction_check_pi(cover: Cover, diagnostic: bool = False) -> ValidationRep
     """
     rg = _built_on(cover)
     if not diagnostic:
-        bad = [a for a in cover.index_order
-               if not classify_subcategory(cover.parts[a]).is_ideal]
-        if bad:
-            raise ValueError(f"parts are not ideals: {bad} (use diagnostic=True to force)")
+        _require_ideals(cover, " (use diagnostic=True to force)")
     parent = cover.parent
     # the hom indices are read directly, without hom_set's checks: pi(x)
     # is an object of gr, since the parts cover every object
-    parent_hom, gr_hom = parent._hom, rg.category._hom
+    parent_hom, gr_hom, is_identity = parent._hom, rg.category._hom, parent.is_identity
     v: list[Violation] = []
     pairs = 0
-    for x in parent.objects:
-        pix = GrObject(cover.indices_of(x), x).name
+    for x, pix in _pi_objects(cover).items():
         for Y in rg.objects:
             pairs += 1
             expected = parent_hom.get((x, Y.obj), ())
-            got = gr_hom.get((pix, Y.name), ())
+            got = gr_hom.get((pix.name, Y.name), ())
             if not expected and not got:
                 continue
-            components = sorted(rg.component_of(n) for n in got)
-            if len(got) != len(expected) or components != sorted(expected):
+            # names within one hom-set are distinct exactly when the components are
+            if sorted(got) != sorted(arrow_name(f, pix, Y, is_identity(f)) for f in expected):
                 v.append(Violation(
                     "adjunction-pi", (x, Y.name),
                     f"|hom({x}, {Y.obj})| = {len(expected)} but |gr(pi({x}), {Y.name})| = {len(got)}",
@@ -267,11 +259,19 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
     For every reduced object Z and every ordered descriptor Y with tuple
     length <= max_len, the reduced hom-set at (Z, reduce(Y)) must be in
     bijection with the ordered hom-set at (Z, Y).  Raises ValueError when
-    ``max_len`` is below 1, as no descriptor would be checked.
+    ``max_len`` is below 1, as no descriptor would be checked, or when the
+    pairs or the labels the walk writes number more than ``MAX_TUPLES``.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     rg = _built_on(cover)
+    # comb(max_len, |S|) ordered tuples have label set S; those of length n have n labels each
+    k = len(cover.index_order)
+    pairs = len(rg.objects) * sum(len(rg.piece[t].objects) * comb(max_len, len(t)) for t in rg.tuples)
+    labels = k * comb(k + max_len, max_len - 1)
+    if max(pairs, labels) > MAX_TUPLES:
+        raise ValueError(f"the ordered check up to length {max_len} has {pairs} pairs and {labels}"
+                         f" tuple labels, above the bound {MAX_TUPLES}")
     descriptors = []  # each ordered descriptor with the name of its reduction
     for length in range(1, max_len + 1):
         for labels in cover.tuples(length, "ordered"):
@@ -296,21 +296,18 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
 def reorder_iso(cover: Cover, order2: Sequence[str]) -> tuple[FunctorMap, FunctorMap]:
     """Mutually inverse isomorphisms between the constructions under two label orders."""
     order2 = tuple(order2)
-    if sorted(order2) != sorted(cover.index_order) or len(set(order2)) != len(order2):
+    if sorted(order2) != sorted(cover.index_order):  # the labels are distinct
         raise ValueError("order2 must be a permutation of the cover labels")
     rg1 = ReducedGrothendieck(cover)
     rg2 = ReducedGrothendieck(cover.with_order(order2))
 
     def functor(src: ReducedGrothendieck, dst: ReducedGrothendieck) -> FunctorMap:
-        pos = {a: i for i, a in enumerate(dst.cover.index_order)}
-        relabel = lambda t: tuple(sorted(t, key=pos.__getitem__))
-        object_map = {
-            o.name: GrObject(relabel(o.labels), o.obj).name for o in src.objects
-        }
-        morphism_map = {}
-        for m in src.category.morphisms:
-            key = (object_map[m.dom], object_map[m.cod], src._components[m.name])
-            morphism_map[m.name] = dst._by_key[key]
+        relabel = lambda t: tuple(sorted(t, key=dst.cover.position))
+        image = {o.name: GrObject(relabel(o.labels), o.obj) for o in src.objects}
+        object_map = {x: o.name for x, o in image.items()}
+        morphism_map = {src.category.identity[x]: dst.category.identity[y] for x, y in object_map.items()}
+        morphism_map.update((m.name, arrow_name(m.component, image[m.source.name], image[m.target.name]))
+                            for m in src.morphisms)
         return FunctorMap(src.category, dst.category, object_map, morphism_map)
 
     return functor(rg1, rg2), functor(rg2, rg1)

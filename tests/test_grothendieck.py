@@ -1,12 +1,16 @@
 import random
+import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from catnerve.covers import Cover, full_subcategory
 from catnerve.euler import euler_characteristic, inclusion_exclusion_sum
-from catnerve.fincat import validate_category, validate_functor
+from catnerve.fincat import FinCategory, validate_category, validate_functor
+from catnerve.homotopy import compare_homology
+from catnerve.io import emit_category, parse_category
 from catnerve.grothendieck import (
     GrObject,
     ReducedGrothendieck,
@@ -66,10 +70,9 @@ def test_component_and_indices():
     assert g.cover.indices_of("y") == ("1", "2")
     assert g.cover.indices_of("x") == ("1",)
     some = g.morphisms[0]
-    assert g.component_of(some.name) == some.component
-    assert g.component_of("id_y@1,2") == "id_y"
-    with pytest.raises(ValueError):
-        g.component_of("nonsense")
+    components = g.rho().morphism_map
+    assert components[some.name] == some.component
+    assert components["id_y@1,2"] == "id_y"
     with pytest.raises(ValueError):
         g.cover.indices_of("nonsense")
 
@@ -152,6 +155,27 @@ def test_adjunction_R_rejects_max_len_below_1():
         with pytest.raises(ValueError, match="max_len must be >= 1"):
             adjunction_check_R(cov, max_len=max_len)
     assert adjunction_check_R(cov, max_len=1).ok
+
+
+@pytest.mark.parametrize("name,cov", fx.all_cover_fixtures())
+def test_adjunction_R_counts_pairs_and_labels_in_closed_form(name, cov):
+    # the counts the bound is checked against, against the walk's own
+    g, k = ReducedGrothendieck(cov), len(cov.index_order)
+    for max_len in range(1, 6):
+        pairs = len(g.objects) * sum(len(g.piece[t].objects) * comb(max_len, len(t)) for t in g.tuples)
+        assert adjunction_check_R(cov, max_len=max_len).details == (f"checked {pairs} pairs",)
+        labels = sum(len(t) for n in range(1, max_len + 1) for t in cov.tuples(n, "ordered"))
+        assert labels == k * comb(k + max_len, max_len - 1)
+
+
+def test_adjunction_R_refuses_above_the_bound():
+    cov = fx.counterexample_cover()
+    with pytest.raises(ValueError, match=re.escape("length 400 has 407000 pairs and 21493600 tuple labels,"
+                                                   " above the bound 262144")):
+        adjunction_check_R(cov, max_len=400)
+    empty = FinCategory.build("E", [])
+    with pytest.raises(ValueError, match="has 0 pairs and 5000050000 tuple labels"):
+        adjunction_check_R(Cover(empty, ["1"], {"1": full_subcategory(empty, [])}), max_len=100000)
 
 
 def test_one_cover_yields_one_build(monkeypatch):
@@ -248,3 +272,57 @@ def test_chi_gr_is_inclusion_exclusion_random(seed, n, kind, parts):
     make = fx.random_ideal_cover if parts == "ideal" else fx.random_filter_cover
     chi_gr, total = _chi_gr_and_sum(make(r, cat, max_parts=4))
     assert chi_gr is not None and chi_gr == total
+
+
+# -- one naming rule for gr's arrows; a clash of names is refused --------------
+
+def test_gr_refuses_two_arrows_of_one_name():
+    # the arrow id_x : x@1,2 -> x@1 and the identity of x|x@1,2=>x@1 are both id_x|x@1,2=>x@1
+    cat = FinCategory.build("D", ["x", "x|x@1,2=>x"])
+    cov = Cover(cat, ["1", "2"], {"1": full_subcategory(cat, cat.objects), "2": full_subcategory(cat, ["x"])})
+    with pytest.raises(ValueError, match=re.escape("two arrows of gr are named 'id_x|x@1,2=>x@1'")):
+        ReducedGrothendieck(cov)
+    assert inclusion_exclusion_sum(cov) == euler_characteristic(cat).chi == 2
+
+
+def _with_clash_prone_ids(r, cat):
+    """``cat`` with its objects renamed to ids built, as gr's arrow names are,
+    from other ids, ``|``, ``=>`` and label lists."""
+    names = []
+    for _ in cat.objects:
+        while True:
+            if names and r.random() < 0.6:
+                a, b, s = r.choice(names), r.choice(names), r.choice(["1", "2", "1,2", "1,3", "2,3"])
+                name = r.choice([f"{a}|{a}@{s}=>{a}", f"{a}|{b}@{s}=>{a}", f"{a}@{s}=>{b}", f"{b}|{a}"])
+            else:
+                name = r.choice("xyzw")
+            if name not in names:
+                break
+        names.append(name)
+    ren = dict(zip(cat.objects, names))
+    comp = {(g, f): h for (g, f), h in cat.comp.items() if not (cat.is_identity(g) or cat.is_identity(f))}
+    return FinCategory.build(cat.name, names, [(m.name, ren[m.dom], ren[m.cod]) for m in cat.non_identities()], comp)
+
+
+@given(st.integers(0, 10**9), st.integers(2, 5), st.sampled_from(["poset", "dag"]),
+       st.sampled_from(["ideal", "filter"]))
+def test_gr_is_valid_or_refused_on_clash_prone_ids(seed, n, kind, parts):
+    from test_pieces import _ReferenceGr
+
+    r = random.Random(seed)
+    base = fx.random_poset(r, n) if kind == "poset" else fx.random_dag_category(r, n, max_morphisms=60)
+    cat = _with_clash_prone_ids(r, base)
+    cov = (fx.random_ideal_cover if parts == "ideal" else fx.random_filter_cover)(r, cat, max_parts=3)
+    try:
+        g = ReducedGrothendieck(cov)
+    except ValueError as e:
+        clash = re.fullmatch(r"two arrows of gr are named '(.*)' \(.*\)", str(e)).group(1)
+        # two distinct (source, target, component) arrows of the construction share that name
+        assert list(_ReferenceGr(cov)._by_key.values()).count(clash) >= 2
+        return
+    names = [m.name for m in g.category.morphisms]
+    assert len(set(names)) == len(names)
+    assert validate_category(g.category).ok
+    assert parse_category(emit_category(g.category)) == g.category
+    if parts == "ideal":
+        assert compare_homology(cat, g.category).equal

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -838,6 +839,41 @@ def test_cli_nerve_compare(files, tmp_path):
     res2 = run("nerve-compare", str(v), str(vc))
     assert res2.exit_code == 0
     assert res2.output.endswith("betti equal: 1 0 0\n")
+
+
+def test_cli_refuses_a_gr_whose_arrow_names_clash(tmp_path):
+    cat, cov = tmp_path / "d.fincat", tmp_path / "d.cover"
+    cat.write_text("category D\nobjects x x|x@1,2=>x\n")
+    cov.write_text("cover U of D\norder 1 2\npart 1 : x x|x@1,2=>x\npart 2 : x\n")
+    for command, *options in (["gr"], ["gr", "--emit", "-"], ["nerve-compare"], ["adjunction"],
+                              ["adjunction", "--ordered"]):
+        res = run(command, str(cat), str(cov), *options)
+        assert res.exit_code == 1, command
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: two arrows of gr are named 'id_x|x@1,2=>x@1'")
+    res = run("incl-excl", str(cat), str(cov))
+    assert res.exit_code == 0
+    assert res.output.endswith("sum = 2\nchi(D) = 2\nMATCH\n")
+
+
+def test_cli_adjunction_ordered_refuses_above_the_bound(tmp_path):
+    cat, cov = tmp_path / "e.fincat", tmp_path / "e.cover"
+    cat.write_text("category E\n")
+    cov.write_text("cover U of E\npart 1 :\n")
+    for files, max_len, counts in (((str(FIXTURES / "cex.fincat"), str(FIXTURES / "cex.cover")), "400",
+                                    "407000 pairs and 21493600"),
+                                   ((str(cat), str(cov)), "100000", "0 pairs and 5000050000")):
+        start = time.perf_counter()
+        res = run("adjunction", *files, "--ordered", "--max-len", max_len)
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"error: the ordered check up to length {max_len} has {counts} tuple labels,"
+                              " above the bound 262144\n")
+    # parts that do not cover are still a failed check, whatever the length
+    cov.write_text("cover U of C\npart 1 : x y\n")
+    res = run("adjunction", str(FIXTURES / "cex.fincat"), str(cov), "--ordered", "--max-len", "100000")
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", "error: parts do not cover the parent category\n")
 
 
 def test_cli_adjunction(files, tmp_path):
