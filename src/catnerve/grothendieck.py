@@ -265,7 +265,7 @@ def adjunction_check_R(cover: Cover, max_len: int = 3) -> ValidationReport:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     rg = _built_on(cover)
-    # comb(max_len, |S|) ordered tuples have label set S; those of length n have n labels each
+    # comb(max_len, |S|) ordered tuples have label set S; the walk writes sum(n * comb(k + n - 1, n)) labels
     k = len(cover.index_order)
     pairs = len(rg.objects) * sum(len(rg.piece[t].objects) * comb(max_len, len(t)) for t in rg.tuples)
     labels = k * comb(k + max_len, max_len - 1)
